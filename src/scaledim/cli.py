@@ -116,10 +116,13 @@ def _node_budget(args) -> int:
     env = os.environ.get(_BUDGET_ENV)
     if env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ValueError(f"{_BUDGET_ENV} must be an integer, "
                              f"got {env!r}") from None
+        if budget < 1:
+            raise ValueError(f"{_BUDGET_ENV} must be positive")
+        return budget
     return DEFAULT_NODE_BUDGET
 
 

@@ -118,26 +118,22 @@ def group_truncation(p: int, levels: int) -> FiniteMetricSpace:
     """l1 direct sum of the first ``levels`` weighted cyclic groups
     Z_{p^n} under the group-mode schedule."""
     schedule = weight_schedule(p, levels, "group")
-    space = l1_sum(truncation_factors(schedule), label=f"group({p},{levels})")
-    return space
+    return l1_sum(truncation_factors(schedule), label=f"group({p},{levels})")
 
 
 def wedge_truncation(p: int, levels: int) -> FiniteMetricSpace:
     """Wedge of the first ``levels`` weighted circles under the
     wedge-mode schedule."""
     schedule = weight_schedule(p, levels, "wedge")
-    space = wedge(truncation_factors(schedule))
-    space.label = f"wedgegroup({p},{levels})"
-    return space
+    return wedge(truncation_factors(schedule),
+                 label=f"wedgegroup({p},{levels})")
 
 
 def interval_wedge_truncation(levels: int) -> FiniteMetricSpace:
     """Wedge of weighted discrete intervals under the interval-wedge
     schedule (no circles, p plays no role)."""
     schedule = weight_schedule(2, levels, "interval-wedge")
-    space = wedge(truncation_factors(schedule))
-    space.label = f"wedgeintervals({levels})"
-    return space
+    return wedge(truncation_factors(schedule), label=f"wedgeintervals({levels})")
 
 
 # -- distinguished subsets ---------------------------------------------------
@@ -170,6 +166,18 @@ def wedge_arm_subsets(factors: Sequence[FiniteMetricSpace]) -> list[list[int]]:
         out.append([0] + list(range(start, start + f.size - 1)))
         start += f.size - 1
     return out
+
+
+def witness_subsets(space: FiniteMetricSpace) -> list[list[int]]:
+    """Distinguished subsets worth probing when a space is too large for
+    the exact search: the factor axes of an l1 sum, the arms of a wedge,
+    and none for any other space."""
+    if space.structure is None:
+        return []
+    kind, factors = space.structure
+    if kind == "sum":
+        return l1_axis_subsets(factors)
+    return wedge_arm_subsets(factors)
 
 
 def l1_prefix_indices(factors: Sequence[FiniteMetricSpace], n: int) -> list[int]:

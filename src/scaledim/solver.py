@@ -66,84 +66,63 @@ def _exact_diameter(space: FiniteMetricSpace, members: Sequence[int]) -> int:
     return best
 
 
-def _components_python(space: FiniteMetricSpace, lam: int,
-                       points: Sequence[int]) -> list[list[int]]:
-    pending = set(points)
+def _components(space: FiniteMetricSpace, lam: int,
+                points: Sequence[int]) -> list[list[int]]:
+    # Level-synchronous BFS over a mask of the points not yet reached,
+    # seeded from the sorted ``points`` in order, so the blocks come out
+    # sorted by least member.
+    pts = np.asarray(points, dtype=np.intp)
+    unvisited = np.ones(pts.size, dtype=bool)
     blocks = []
-    for seed in points:
-        if seed not in pending:
+    for k in range(pts.size):
+        if not unvisited[k]:
             continue
-        pending.discard(seed)
+        unvisited[k] = False
+        seed = int(pts[k])
         members = [seed]
         frontier = [seed]
-        while frontier and pending:
-            targets = sorted(pending)
-            arr = np.asarray(targets, dtype=np.intp)
-            hit = np.zeros(len(targets), dtype=bool)
-            for i in frontier:
-                hit |= space.dist_row(i, arr) <= lam
-            frontier = [targets[k] for k in np.flatnonzero(hit)]
-            pending.difference_update(frontier)
-            members.extend(frontier)
-        members.sort()
-        blocks.append(members)
-    return blocks
-
-
-def _components_masked(space: FiniteMetricSpace, lam: int) -> list[list[int]]:
-    # Level-synchronous BFS over a shrinking remaining-mask; used for
-    # large spaces with a vectorised row kernel.
-    remaining = np.ones(space.size, dtype=bool)
-    blocks = []
-    while True:
-        seeds = np.flatnonzero(remaining)
-        if seeds.size == 0:
-            break
-        seed = int(seeds[0])
-        remaining[seed] = False
-        members = [seed]
-        frontier = [seed]
-        while frontier:
-            targets = np.flatnonzero(remaining)
-            if targets.size == 0:
-                break
-            hit = np.zeros(targets.size, dtype=bool)
+        while frontier and unvisited.any():
+            open_ = np.flatnonzero(unvisited)
+            targets = pts[open_]
+            hit = np.zeros(open_.size, dtype=bool)
             for i in frontier:
                 hit |= space.dist_row(i, targets) <= lam
-            found = targets[hit]
-            remaining[found] = False
-            frontier = [int(x) for x in found]
+            reached = open_[hit]
+            unvisited[reached] = False
+            frontier = pts[reached].tolist()
             members.extend(frontier)
         members.sort()
         blocks.append(members)
     return blocks
 
 
-def _components_product(space: FiniteMetricSpace,
-                        lam: int) -> tuple[list[list[int]], list[int]]:
+def _components_product(factors: Sequence[FiniteMetricSpace],
+                        lam: int) -> ComponentPartition:
     # In an l1 sum, a single step of cost <= lam splits into per-factor
     # steps of cost <= lam, so components factor into products of the
     # factors' components, and block diameters add across factors.
-    factors = space._product
+    # Varying the last factor's block slowest lists the blocks sorted by
+    # least member, as the index is mixed-radix with factor 1 fastest.
     parts = [lambda_components(f, lam) for f in factors]
     strides = []
     s = 1
     for f in factors:
         strides.append(s)
         s *= f.size
-    blocks: list[list[int]] = []
-    diams: list[int] = []
-    for combo in itertools.product(*(range(len(p.blocks)) for p in parts)):
+    blocks = []
+    diams = []
+    for combo in itertools.product(*(range(len(p.blocks))
+                                     for p in reversed(parts))):
         members = [0]
         diam = 0
-        for f, bi in enumerate(combo):
+        for f, bi in enumerate(reversed(combo)):
             block = parts[f].blocks[bi]
             members = [m + q * strides[f] for q in block for m in members]
             diam += parts[f].diameters[bi]
         members.sort()
-        blocks.append(members)
+        blocks.append(tuple(members))
         diams.append(diam)
-    return blocks, diams
+    return ComponentPartition(tuple(blocks), tuple(diams))
 
 
 def lambda_components(space: FiniteMetricSpace, lam: int,
@@ -164,24 +143,16 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
             return ComponentPartition(
                 tuple((i,) for i in range(space.size)),
                 (0,) * space.size)
-        if space._product is not None:
-            blocks, diams = _components_product(space, lam)
-            order = sorted(range(len(blocks)), key=lambda b: blocks[b][0])
-            return ComponentPartition(
-                tuple(tuple(blocks[b]) for b in order),
-                tuple(diams[b] for b in order))
-        if space.has_fast_rows() and space.size > MATRIX_CACHE_LIMIT:
-            blocks = _components_masked(space, lam)
-        else:
-            blocks = _components_python(space, lam, list(range(space.size)))
+        if space.structure is not None and space.structure[0] == "sum":
+            return _components_product(space.structure[1], lam)
+        points = np.arange(space.size)
     else:
         points = sorted(set(int(p) for p in subset))
         if not points:
             return ComponentPartition((), ())
         if points[0] < 0 or points[-1] >= space.size:
             raise ValueError(f"subset index out of range for size {space.size}")
-        blocks = _components_python(space, lam, points)
-    blocks.sort(key=lambda b: b[0])
+    blocks = _components(space, lam, points)
     return ComponentPartition(
         tuple(tuple(b) for b in blocks),
         tuple(_exact_diameter(space, b) for b in blocks))
@@ -315,20 +286,17 @@ def _search_order(space: FiniteMetricSpace, lam: int) -> list[int]:
 
 
 def dim_le(space: FiniteMetricSpace, lam: int, control: int, n: int, *,
-           node_budget: int = DEFAULT_NODE_BUDGET,
-           deterministic_certificate: bool = True) -> SearchOutcome:
+           node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Decide whether the space has dimension at most n at (lam, control).
 
     Returns FEASIBLE with a certificate cover of exactly n+1 families
     (some possibly empty), INFEASIBLE with exhaustion evidence, or
     UNKNOWN when the node budget runs out.  The search is sequential and
-    fully deterministic; deterministic_certificate is accepted for
-    interface stability and changes nothing.
+    fully deterministic.
     """
     scale = ScalePair(lam, control)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    del deterministic_certificate
     m = space.size
     if m == 0:
         cover = ScaledCover.of(lam, control, [[] for _ in range(n + 1)])

@@ -57,10 +57,13 @@ class FiniteMetricSpace:
     Instances are immutable by convention: nothing mutates a space after
     construction except internal memoization, so they are safe to share
     across computations.
+
+    ``structure`` is ("sum", factors) for an l1 sum, ("wedge", factors)
+    for a wedge and None for any other space; factors are in index order.
     """
 
     __slots__ = ("size", "basepoint", "label", "_oracle", "_rows", "_matrix",
-                 "_diam", "_minpos", "_product")
+                 "_diam", "_minpos", "_structure")
 
     def __init__(self, size: int, oracle: Callable[[int, int], int], *,
                  basepoint: Optional[int] = None, label: str = "space",
@@ -79,10 +82,11 @@ class FiniteMetricSpace:
         self._matrix: Optional[np.ndarray] = None
         self._diam = diameter_hint
         self._minpos = min_positive_hint
-        # Set by l1_sum: the factor list, in index order with factor 1
-        # varying fastest.  Lets downstream code exploit the coordinate
-        # decomposition of l1 distances.
-        self._product: Optional[tuple] = None
+        self._structure: Optional[tuple] = None
+
+    @property
+    def structure(self) -> Optional[tuple]:
+        return self._structure
 
     # -- queries ---------------------------------------------------------
 
@@ -347,13 +351,14 @@ def cyclic_group(m: int, a: int = 1) -> FiniteMetricSpace:
                              min_positive_hint=a)
 
 
-def wedge(spaces: Sequence[FiniteMetricSpace]) -> FiniteMetricSpace:
+def wedge(spaces: Sequence[FiniteMetricSpace], *,
+          label: Optional[str] = None) -> FiniteMetricSpace:
     """Wedge sum: basepoints of all factors identified into point 0.
 
     Point layout: index 0 is the common basepoint, followed by the
     non-basepoint points of factor 1 in increasing index order, then
     factor 2, and so on.  Distances between different arms go through
-    the basepoint.
+    the basepoint.  Refuses more than DEFAULT_PRODUCT_CAP points.
     """
     spaces = list(spaces)
     if not spaces:
@@ -361,18 +366,25 @@ def wedge(spaces: Sequence[FiniteMetricSpace]) -> FiniteMetricSpace:
     for f, sp in enumerate(spaces):
         if sp.basepoint is None:
             raise ValueError(f"wedge factor {f + 1} ({sp.label}) has no basepoint")
+    total = 1 + sum(sp.size - 1 for sp in spaces)
+    if total > DEFAULT_PRODUCT_CAP:
+        raise ValueError(f"wedge would have {total} points, "
+                         f"over the cap {DEFAULT_PRODUCT_CAP}")
 
     owner = [-1]           # factor owning each point (-1 = wedge point)
     local = [0]            # original index within the owning factor
     to_base = [0]          # distance to the wedge point
+    eccs = []              # per arm: largest and least distance to base
+    nearest = []
     for f, sp in enumerate(spaces):
-        base = sp.basepoint
-        for q in range(sp.size):
-            if q == base:
-                continue
-            owner.append(f)
-            local.append(q)
-            to_base.append(sp.dist(q, base))
+        arm = [q for q in range(sp.size) if q != sp.basepoint]
+        row = [sp.dist(q, sp.basepoint) for q in arm]
+        owner.extend([f] * len(arm))
+        local.extend(arm)
+        to_base.extend(row)
+        if row:
+            eccs.append(max(row))
+            nearest.append(min(row))
     size = len(owner)
 
     def oracle(i, j):
@@ -385,13 +397,6 @@ def wedge(spaces: Sequence[FiniteMetricSpace]) -> FiniteMetricSpace:
 
     # Exact closed forms: the diameter is realised inside one arm or
     # through the basepoint between the two most eccentric arms.
-    eccs = []
-    nearest = []
-    for sp in spaces:
-        if sp.size >= 2:
-            row = [sp.dist(q, sp.basepoint) for q in range(sp.size)]
-            eccs.append(max(row))
-            nearest.append(min(v for q, v in enumerate(row) if q != sp.basepoint))
     diam = 0
     if eccs:
         diam = max(max(sp.diameter() for sp in spaces), 0)
@@ -407,9 +412,12 @@ def wedge(spaces: Sequence[FiniteMetricSpace]) -> FiniteMetricSpace:
             low = sorted(nearest)[:2]
             minpos = min(minpos, low[0] + low[1])
 
-    label = "wedge(" + ",".join(sp.label for sp in spaces) + ")"
-    return FiniteMetricSpace(size, oracle, basepoint=0, label=label,
-                             diameter_hint=diam, min_positive_hint=minpos)
+    space = FiniteMetricSpace(
+        size, oracle, basepoint=0,
+        label=label or "wedge(" + ",".join(sp.label for sp in spaces) + ")",
+        diameter_hint=diam, min_positive_hint=minpos)
+    space._structure = ("wedge", tuple(spaces))
+    return space
 
 
 def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
@@ -441,40 +449,18 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
         raise ValueError("l1_sum diameter exceeds the 64-bit range")
 
     nfac = len(spaces)
-    # Small factors get dense python matrices for the scalar oracle.
-    py_mats: list[Optional[list[list[int]]]] = []
-    for sp in spaces:
-        if sp.size <= MATRIX_CACHE_LIMIT:
-            py_mats.append([[sp.dist(i, j) for j in range(sp.size)]
-                            for i in range(sp.size)])
-        else:
-            py_mats.append(None)
-
-    def digits(x):
-        out = []
-        for s in sizes:
-            x, r = divmod(x, s)
-            out.append(r)
-        return out
 
     def oracle(x, y):
         total_d = 0
-        for f in range(nfac):
-            s = sizes[f]
-            dx = x % s
-            dy = y % s
+        for sp, s in zip(spaces, sizes):
+            total_d += sp.dist(x % s, y % s)
             x //= s
             y //= s
-            mat = py_mats[f]
-            if mat is not None:
-                total_d += mat[dx][dy]
-            else:
-                total_d += spaces[f].dist(dx, dy)
         return total_d
 
     rows = None
-    if all(m is not None for m in py_mats):
-        np_mats = [np.array(m, dtype=np.int64) for m in py_mats]
+    if all(s <= MATRIX_CACHE_LIMIT for s in sizes):
+        mats = [sp.densify() for sp in spaces]
         state: dict = {}
 
         def rows(i, targets):  # vectorised row kernel over the digit table
@@ -487,10 +473,10 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
                     vals //= s
                 state["digits"] = digs
             sub = digs if targets is None else digs[np.asarray(targets, dtype=np.intp)]
-            di = digits(i)
             out = np.zeros(sub.shape[0], dtype=np.int64)
-            for f in range(nfac):
-                out += np_mats[f][di[f]][sub[:, f]]
+            for f, s in enumerate(sizes):
+                i, r = divmod(i, s)
+                out += mats[f][r][sub[:, f]]
             return out
 
     base = 0
@@ -506,7 +492,7 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
         total, oracle, basepoint=base,
         label=label or "sum(" + ",".join(sp.label for sp in spaces) + ")",
         rows=rows, diameter_hint=diam, min_positive_hint=minpos)
-    space._product = tuple(spaces)
+    space._structure = ("sum", tuple(spaces))
     return space
 
 

@@ -13,7 +13,8 @@ Grammar, one expression per spec:
     matrix("path")       distance matrix read from a file
 
 Parse errors carry the 1-based line and column; arity and range
-problems point at the start of the offending call.
+problems point at the start of the offending call.  Calls nest at most
+MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .spaces import (FiniteMetricSpace, cyclic_group, from_matrix, interval,
                      l1_sum, read_matrix_file, scale, subspace, wedge)
 
 Arg = Union[int, str, tuple, "SpaceSpec"]
+
+# Most constructor calls open at once, innermost included; deeper specs
+# are refused before the recursive parser and builder run out of stack.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -162,7 +168,11 @@ class _Parser:
             raise SpecParseError(
                 f"unknown constructor {name!r}", name_tok.line, name_tok.col,
                 expected="one of " + ", ".join(sorted(_GRAMMAR)))
-        shapes, ranges = _GRAMMAR[name]
+        if self.depth == MAX_NESTING:
+            raise SpecParseError(
+                f"calls nested more than {MAX_NESTING} deep",
+                name_tok.line, name_tok.col)
+        self.depth += 1
         self.take("(", "'('")
         args: list[Arg] = []
         if self.peek().kind != ")":
@@ -170,8 +180,8 @@ class _Parser:
             while self.peek().kind == ",":
                 self.pos += 1
                 args.append(self.parse_arg())
-        close = self.take(")", "')' or ','")
-        del close
+        self.take(")", "')' or ','")
+        self.depth -= 1
         self._check_call(name, args, name_tok)
         return SpaceSpec(name, tuple(args))
 
@@ -287,24 +297,7 @@ def build_space(spec: SpaceSpec) -> FiniteMetricSpace:
 
 def build_with_witnesses(spec: SpaceSpec) -> tuple[FiniteMetricSpace, list[list[int]]]:
     """Build a space along with distinguished subsets worth probing when
-    the space is too large for the exact search: the factor axes of a
-    direct sum, or the arms of a wedge."""
-    name, args = spec.name, spec.args
-    if name == "group":
-        schedule = _cons.weight_schedule(args[0], args[1], "group")
-        factors = _cons.truncation_factors(schedule)
-        return (l1_sum(factors, label=f"group({args[0]},{args[1]})"),
-                _cons.l1_axis_subsets(factors))
-    if name == "wedgegroup":
-        schedule = _cons.weight_schedule(args[0], args[1], "wedge")
-        factors = _cons.truncation_factors(schedule)
-        space = wedge(factors)
-        space.label = f"wedgegroup({args[0]},{args[1]})"
-        return space, _cons.wedge_arm_subsets(factors)
-    if name == "sum":
-        factors = [build_space(a) for a in args]
-        return l1_sum(factors), _cons.l1_axis_subsets(factors)
-    if name == "wedge":
-        factors = [build_space(a) for a in args]
-        return wedge(factors), _cons.wedge_arm_subsets(factors)
-    return build_space(spec), []
+    the space is too large for the exact search (see
+    construction.witness_subsets)."""
+    space = build_space(spec)
+    return space, _cons.witness_subsets(space)

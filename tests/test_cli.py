@@ -98,6 +98,31 @@ def test_budget_env_var(capsys, tmp_path, monkeypatch):
                        "--control", "1", "--certificate", str(tmp_path / "c"))
     assert code == 2
     assert "SCALEDIM_NODE_BUDGET" in err
+    for value in ("-5", "0"):
+        monkeypatch.setenv("SCALEDIM_NODE_BUDGET", value)
+        code, out, err = run(capsys, "dim", "circle(9,1)", "--lambda", "1",
+                             "--control", "2",
+                             "--certificate", str(tmp_path / "c"))
+        assert code == 2, value
+        assert out == ""
+        assert err == "error: SCALEDIM_NODE_BUDGET must be positive\n"
+
+
+def test_spec_nesting_limit(capsys, tmp_path):
+    def nested(depth):
+        return "scale(" * (depth - 1) + "circle(9,1)" + ",1)" * (depth - 1)
+
+    code, out, _ = run(capsys, "dim", nested(100), "--lambda", "1",
+                       "--control", "2", "--certificate", str(tmp_path / "c"))
+    assert code == 0
+    assert "dim: 1 (exact)" in out
+    for depth in (101, 600):
+        code, _, err = run(capsys, "dim", nested(depth), "--lambda", "1",
+                           "--control", "2")
+        assert code == 2, depth
+        # the 101st call opens at column 6 * 100 + 1
+        assert err == ("error: line 1, column 601: calls nested more than "
+                       "100 deep\n")
 
 
 def test_profile_lambda_list_and_csv(capsys, tmp_path):

@@ -47,6 +47,15 @@ def test_components_product_path_matches_generic():
         slow = lambda_components(s, lam, range(s.size))  # plain BFS
         assert fast.blocks == slow.blocks, lam
         assert fast.diameters == slow.diameters, lam
+    # 2187 points, above MATRIX_CACHE_LIMIT: the BFS runs on the row kernel
+    big = l1_sum([cyclic_group(3, 1), cyclic_group(27, 2),
+                  cyclic_group(27, 10)])
+    assert big.size == 2187
+    for lam in (1, 2, 10):
+        fast = lambda_components(big, lam)
+        slow = lambda_components(big, lam, range(big.size))
+        assert fast.blocks == slow.blocks, lam
+        assert fast.diameters == slow.diameters, lam
 
 
 def test_component_chains_can_exceed_lambda_in_diameter():

@@ -80,6 +80,11 @@ def test_wedge_layout_and_distances():
     assert w.diameter() == 8            # interval tip to circle antipode
     assert w.min_positive_distance() == 1
     check_metric(w)
+    assert w.structure == ("wedge", (left, right))
+    assert w.label == "wedge(interval(2,1),circle(4,3))"
+    assert wedge([left, right], label="arms").label == "arms"
+    with pytest.raises(AttributeError):
+        w.structure = None
 
 
 def test_wedge_needs_basepoints():
@@ -100,11 +105,21 @@ def test_l1_sum_mixed_radix_layout():
     assert s.dist(1, 4) == a.dist(1, 0) + b.dist(0, 2)
     assert s.diameter() == a.diameter() + b.diameter()
     check_metric(s)
+    assert s.structure == ("sum", (a, b))
+    assert scale(s, 2).structure is None
+    assert subspace(s, [0, 1]).structure is None
+    assert a.structure is None
 
 
 def test_l1_sum_size_cap():
     with pytest.raises(ValueError, match="cap"):
         l1_sum([cyclic_group(100, 1)] * 4, size_cap=10**6)
+
+
+def test_wedge_size_cap():
+    # 1 + 2 * 599999 points: refused before any per-point work
+    with pytest.raises(ValueError, match="1199999 points, over the cap"):
+        wedge([cyclic_group(600_000, 1)] * 2)
 
 
 def test_subspace_renumbers_in_order():

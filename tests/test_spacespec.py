@@ -5,8 +5,10 @@ import warnings
 import pytest
 
 from scaledim import (SmallCircleWarning, SpecParseError, build_space,
-                      build_with_witnesses, format_spec, group_truncation,
-                      parse_spec, wedge_truncation)
+                      build_with_witnesses, cyclic_group, format_spec,
+                      group_truncation, interval, l1_axis_subsets, parse_spec,
+                      truncation_factors, wedge_arm_subsets, wedge_truncation,
+                      weight_schedule)
 
 
 def build(text):
@@ -72,11 +74,24 @@ def test_witnesses_for_sums_and_wedges():
         space, wit = build_with_witnesses(parse_spec("group(3,3)"))
         assert space.size == 729
         assert [len(w) for w in wit] == [3, 9, 27]
+        group_factors = truncation_factors(weight_schedule(3, 3, "group"))
+        assert wit == l1_axis_subsets(group_factors)
         space, wit = build_with_witnesses(parse_spec("wedgegroup(3,3)"))
         assert space.size == 37
+        assert space.label == "wedgegroup(3,3)"
         assert [len(w) for w in wit] == [3, 9, 27]
+        wedge_factors = truncation_factors(weight_schedule(3, 3, "wedge"))
+        assert wit == wedge_arm_subsets(wedge_factors)
         space, wit = build_with_witnesses(parse_spec("interval(4,1)"))
         assert wit == []
+    factors = [cyclic_group(3, 1), interval(2, 5)]
+    _, wit = build_with_witnesses(parse_spec("sum(circle(3,1),interval(2,5))"))
+    assert wit == l1_axis_subsets(factors) == [[0, 1, 2], [0, 3, 6]]
+    _, wit = build_with_witnesses(parse_spec("wedge(circle(3,1),interval(2,5))"))
+    assert wit == wedge_arm_subsets(factors) == [[0, 1, 2], [0, 3, 4]]
+    for text in ("scale(sum(circle(3,1),interval(2,5)),2)",
+                 "sub(sum(circle(3,1),interval(2,5)),[0,1,3])"):
+        assert build_with_witnesses(parse_spec(text))[1] == []
 
 
 def err(text):
