@@ -17,14 +17,14 @@ the default budget; --budget overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
 from typing import Optional, Sequence
 
 from .construction import (DEFAULT_SEARCH_SIZE_CAP, SmallCircleWarning,
-                           dip_scales, profile, profile_csv, schedule_csv,
-                           weight_schedule)
+                           profile, profile_csv, schedule_csv, weight_schedule)
 from .covers import Certificate, read_certificate, validate_cover, write_certificate
 from .solver import DEFAULT_NODE_BUDGET, dim_at_scale, oracle_check
 from .spaces import MetricError, check_metric
@@ -163,34 +163,35 @@ def _cmd_dim(args) -> int:
     return 3
 
 
-def _profile_lambdas(args, spec) -> list[int]:
-    if args.lambda_list is not None:
-        try:
-            lams = [int(t) for t in args.lambda_list.split(",") if t.strip()]
-        except ValueError:
-            raise ValueError(f"--lambda-list must be comma-separated "
-                             f"integers, got {args.lambda_list!r}") from None
-        if not lams or any(v < 0 for v in lams):
-            raise ValueError("--lambda-list needs nonnegative integers")
-        return lams
-    if spec.name not in ("group", "wedgegroup"):
-        raise ValueError("--from-schedule needs a group(...) or "
-                         "wedgegroup(...) spec")
-    mode = "group" if spec.name == "group" else "wedge"
-    # building the space right after re-derives this schedule and emits
-    # any size warning (or strict error) itself; stay quiet here so the
-    # user sees it once
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallCircleWarning)
-        schedule = weight_schedule(spec.args[0], spec.args[1], mode)
-    vals = set(dip_scales(schedule)) | set(schedule.weights)
+def _lambda_list(text: str) -> list[int]:
+    try:
+        lams = [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f"--lambda-list must be comma-separated "
+                         f"integers, got {text!r}") from None
+    if not lams or any(v < 0 for v in lams):
+        raise ValueError("--lambda-list needs nonnegative integers")
+    return lams
+
+
+def _schedule_lambdas(space) -> list[int]:
+    # A group/wedgegroup space lists its scheduled circles in
+    # ``structure``; the least distance of circle n is its weight a_n.
+    weights = {f.min_positive_distance() for f in space.structure[1]}
+    vals = weights | {a - 1 for a in weights}
     return sorted(v for v in vals if v > 0)
 
 
 def _cmd_profile(args) -> int:
     spec = parse_spec(args.spec)
-    lams = _profile_lambdas(args, spec)
+    if args.lambda_list is not None:
+        lams = _lambda_list(args.lambda_list)
+    elif spec.name not in ("group", "wedgegroup"):
+        raise ValueError("--from-schedule needs a group(...) or "
+                         "wedgegroup(...) spec")
     space, witnesses = build_with_witnesses(spec)
+    if args.lambda_list is None:
+        lams = _schedule_lambdas(space)
     prof = profile(space, args.c, lams, witness_subsets=witnesses,
                    search_size_cap=args.cap, node_budget=_node_budget(args))
     text = profile_csv(prof)
@@ -344,6 +345,15 @@ _COMMANDS = {
 }
 
 
+def _show_warning(default, message, category, *args, **kwargs):
+    # Schedule warnings concern the user's spec, not a library line: one
+    # plain line each.  Anything else goes to the previous handler.
+    if issubclass(category, SmallCircleWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        default(message, category, *args, **kwargs)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -351,6 +361,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with warnings.catch_warnings():
             if getattr(args, "strict", False):
                 warnings.simplefilter("error", SmallCircleWarning)
+            warnings.showwarning = functools.partial(_show_warning,
+                                                     warnings.showwarning)
             return _COMMANDS[args.command](args)
     except SmallCircleWarning as exc:
         print(f"error: {exc}", file=sys.stderr)

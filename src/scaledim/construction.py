@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .covers import ScaledCover, validate_cover
-from .solver import (DEFAULT_NODE_BUDGET, FEASIBLE, INFEASIBLE,
-                     dim_at_scale, dim_le, lambda_components)
+from .solver import (DEFAULT_NODE_BUDGET, INFEASIBLE, dim_at_scale, dim_le,
+                     lambda_components)
 from .spaces import FiniteMetricSpace, cyclic_group, interval, l1_sum, subspace, wedge
 
 SCHEDULE_MODES = ("group", "wedge", "interval-wedge")
@@ -410,13 +410,10 @@ def _sample_large(space: FiniteMetricSpace, lam: int, control: int,
             best = r.value
     if best >= 1:
         return ProfileSample(lam, control, best, "lower-bound")
-    parts = lambda_components(space, lam)
-    if parts.max_diameter() <= control:
-        return ProfileSample(lam, control, 0, "exact")
-    probe = dim_le(space, lam, control, 1, node_budget=node_budget)
-    if probe.status == FEASIBLE:
-        return ProfileSample(lam, control, 1, "exact")
-    if probe.status == INFEASIBLE:
+    r = dim_at_scale(space, lam, control, max_n=1, node_budget=node_budget)
+    if r.status == "exact":
+        return ProfileSample(lam, control, r.value, "exact")
+    if r.lower_bound > 1:
         return ProfileSample(lam, control, 2, "lower-bound")
     return ProfileSample(lam, control, 1, "unknown")
 

@@ -125,6 +125,45 @@ def _components_product(factors: Sequence[FiniteMetricSpace],
     return ComponentPartition(tuple(blocks), tuple(diams))
 
 
+def _components_wedge(factors: Sequence[FiniteMetricSpace],
+                      lam: int) -> ComponentPartition:
+    # In a wedge, a step between two arms costs the sum of both ends'
+    # distances to the wedge point, so it only joins points already in
+    # the wedge point's component of their own arms.  The components are
+    # therefore the arms' components, with the blocks holding the
+    # basepoint glued into one block around point 0.  Two points of that
+    # block in different arms are as far apart as their distances to the
+    # wedge point add up to.  Arms occupy increasing index ranges in
+    # order, so listing the glued block first, then each arm's other
+    # blocks in arm order, keeps the blocks sorted by least member.
+    glued = [0]
+    glued_diam = 0
+    eccs = []
+    rest = []
+    rest_diams = []
+    start = 1
+    for f in factors:
+        b = f.basepoint
+        parts = lambda_components(f, lam)
+        for block, diam in zip(parts.blocks, parts.diameters):
+            pts = np.asarray(block, dtype=np.intp)
+            arm = pts[pts != b]
+            mapped = (start + arm - (arm > b)).tolist()
+            if arm.size < pts.size:
+                glued.extend(mapped)
+                glued_diam = max(glued_diam, diam)
+                eccs.append(int(f.dist_row(b, pts).max()))
+            else:
+                rest.append(tuple(mapped))
+                rest_diams.append(diam)
+        start += f.size - 1
+    top = sorted(eccs)[-2:]
+    if len(top) == 2:
+        glued_diam = max(glued_diam, top[0] + top[1])
+    return ComponentPartition((tuple(glued),) + tuple(rest),
+                              (glued_diam,) + tuple(rest_diams))
+
+
 def lambda_components(space: FiniteMetricSpace, lam: int,
                       subset: Optional[Sequence[int]] = None) -> ComponentPartition:
     """Partition a point set into lam-components.
@@ -143,8 +182,12 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
             return ComponentPartition(
                 tuple((i,) for i in range(space.size)),
                 (0,) * space.size)
-        if space.structure is not None and space.structure[0] == "sum":
-            return _components_product(space.structure[1], lam)
+        if space.structure is not None:
+            kind, factors = space.structure
+            if kind == "sum":
+                return _components_product(factors, lam)
+            if kind == "wedge":
+                return _components_wedge(factors, lam)
         points = np.arange(space.size)
     else:
         points = sorted(set(int(p) for p in subset))
@@ -276,7 +319,11 @@ class SearchOutcome:
 
 
 def _search_order(space: FiniteMetricSpace, lam: int) -> list[int]:
+    # Densify first where allowed: the degree pass and the search both
+    # read every row.
     m = space.size
+    if m <= MATRIX_CACHE_LIMIT:
+        space.densify()
     if m > _DEGREE_ORDER_LIMIT:
         return list(range(m))
     deg = [0] * m
@@ -285,26 +332,24 @@ def _search_order(space: FiniteMetricSpace, lam: int) -> list[int]:
     return sorted(range(m), key=lambda i: (-deg[i], i))
 
 
-def dim_le(space: FiniteMetricSpace, lam: int, control: int, n: int, *,
-           node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
-    """Decide whether the space has dimension at most n at (lam, control).
+def _scan(space: FiniteMetricSpace, lam: int, control: int,
+          top: int) -> tuple[ComponentPartition, Optional[list[int]]]:
+    # The component partition, and the search order when a search for
+    # some n <= top will be needed: n = 0 is settled by the partition
+    # alone, and so is every n once one family suffices.
+    parts = lambda_components(space, lam)
+    order = None
+    if top >= 1 and parts.max_diameter() > control:
+        order = _search_order(space, lam)
+    return parts, order
 
-    Returns FEASIBLE with a certificate cover of exactly n+1 families
-    (some possibly empty), INFEASIBLE with exhaustion evidence, or
-    UNKNOWN when the node budget runs out.  The search is sequential and
-    fully deterministic.
-    """
-    scale = ScalePair(lam, control)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    m = space.size
-    if m == 0:
-        cover = ScaledCover.of(lam, control, [[] for _ in range(n + 1)])
-        return SearchOutcome(FEASIBLE, cover, 0)
 
+def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
+            parts: ComponentPartition, order: Optional[list[int]],
+            node_budget: int) -> SearchOutcome:
+    # dim_le on a precomputed _scan of the space.
     # One family suffices exactly when every lam-component is small
     # enough; this settles n = 0 outright and short-circuits larger n.
-    parts = lambda_components(space, lam)
     if parts.max_diameter() <= control:
         families: list[list] = [list(parts.blocks)]
         families.extend([] for _ in range(n))
@@ -319,10 +364,8 @@ def dim_le(space: FiniteMetricSpace, lam: int, control: int, n: int, *,
             0)
         return SearchOutcome(INFEASIBLE, None, 0, ev)
 
-    if m <= MATRIX_CACHE_LIMIT:
-        space.densify()
+    m = space.size
     kmax = n + 1
-    order = _search_order(space, lam)
     classes = [_ColorClass(space, lam, control) for _ in range(kmax)]
     choice = [-1] * m
     undos: list = [None] * m
@@ -367,6 +410,22 @@ def dim_le(space: FiniteMetricSpace, lam: int, control: int, n: int, *,
     return SearchOutcome(FEASIBLE, cover, nodes)
 
 
+def dim_le(space: FiniteMetricSpace, lam: int, control: int, n: int, *,
+           node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
+    """Decide whether the space has dimension at most n at (lam, control).
+
+    Returns FEASIBLE with a certificate cover of exactly n+1 families
+    (some possibly empty), INFEASIBLE with exhaustion evidence, or
+    UNKNOWN when the node budget runs out.  The search is sequential and
+    fully deterministic.
+    """
+    ScalePair(lam, control)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    parts, order = _scan(space, lam, control, n)
+    return _search(space, lam, control, n, parts, order, node_budget)
+
+
 @dataclass(frozen=True)
 class DimResult:
     """Outcome of an exact dimension computation.
@@ -395,13 +454,15 @@ def dim_at_scale(space: FiniteMetricSpace, lam: int, control: int, *,
     terminates with an exact value unless the per-call node budget gives
     out first (status "unknown") or max_n cuts the scan short.
     """
+    ScalePair(lam, control)
     top = space.size - 1 if max_n is None else min(max_n, space.size - 1)
     top = max(top, 0)
+    parts, order = _scan(space, lam, control, top)
     total_nodes = 0
     evidence = None
     n = 0
     while n <= top:
-        outcome = dim_le(space, lam, control, n, node_budget=node_budget)
+        outcome = _search(space, lam, control, n, parts, order, node_budget)
         total_nodes += outcome.nodes
         if outcome.status == FEASIBLE:
             return DimResult("exact", n, n, outcome.certificate, evidence,

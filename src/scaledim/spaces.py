@@ -366,34 +366,48 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
     for f, sp in enumerate(spaces):
         if sp.basepoint is None:
             raise ValueError(f"wedge factor {f + 1} ({sp.label}) has no basepoint")
-    total = 1 + sum(sp.size - 1 for sp in spaces)
-    if total > DEFAULT_PRODUCT_CAP:
-        raise ValueError(f"wedge would have {total} points, "
+    size = 1 + sum(sp.size - 1 for sp in spaces)
+    if size > DEFAULT_PRODUCT_CAP:
+        raise ValueError(f"wedge would have {size} points, "
                          f"over the cap {DEFAULT_PRODUCT_CAP}")
 
-    owner = [-1]           # factor owning each point (-1 = wedge point)
-    local = [0]            # original index within the owning factor
-    to_base = [0]          # distance to the wedge point
+    # The layout, one entry per point: the arm it lies in (-1 for the
+    # wedge point), its index within that arm, its distance to the wedge
+    # point.  Both the oracle and the row kernel read these arrays.
+    owner = np.full(size, -1, dtype=np.intp)
+    local = np.zeros(size, dtype=np.intp)
+    to_base = np.zeros(size, dtype=np.int64)
     eccs = []              # per arm: largest and least distance to base
     nearest = []
+    start = 1
     for f, sp in enumerate(spaces):
-        arm = [q for q in range(sp.size) if q != sp.basepoint]
-        row = [sp.dist(q, sp.basepoint) for q in arm]
-        owner.extend([f] * len(arm))
-        local.extend(arm)
-        to_base.extend(row)
-        if row:
-            eccs.append(max(row))
-            nearest.append(min(row))
-    size = len(owner)
+        arm = np.delete(np.arange(sp.size, dtype=np.intp), sp.basepoint)
+        stop = start + arm.size
+        owner[start:stop] = f
+        local[start:stop] = arm
+        to_base[start:stop] = sp.dist_row(sp.basepoint, arm)
+        if arm.size:
+            eccs.append(int(to_base[start:stop].max()))
+            nearest.append(int(to_base[start:stop].min()))
+        start = stop
 
     def oracle(i, j):
         if i == j:
             return 0
-        oi, oj = owner[i], owner[j]
-        if oi == oj and oi >= 0:
-            return spaces[oi].dist(local[i], local[j])
-        return to_base[i] + to_base[j]
+        oi = owner[i]
+        if oi >= 0 and oi == owner[j]:
+            return spaces[oi].dist(int(local[i]), int(local[j]))
+        return int(to_base[i] + to_base[j])
+
+    def rows(i, targets):  # through the wedge point, except in i's own arm
+        t = slice(None) if targets is None else \
+            np.asarray(targets, dtype=np.intp)
+        out = to_base[t] + to_base[i]
+        oi = owner[i]
+        if oi >= 0:
+            own = owner[t] == oi
+            out[own] = spaces[oi].dist_row(int(local[i]), local[t][own])
+        return out
 
     # Exact closed forms: the diameter is realised inside one arm or
     # through the basepoint between the two most eccentric arms.
@@ -415,7 +429,7 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
     space = FiniteMetricSpace(
         size, oracle, basepoint=0,
         label=label or "wedge(" + ",".join(sp.label for sp in spaces) + ")",
-        diameter_hint=diam, min_positive_hint=minpos)
+        rows=rows, diameter_hint=diam, min_positive_hint=minpos)
     space._structure = ("wedge", tuple(spaces))
     return space
 

@@ -1,5 +1,10 @@
 """Command-line interface, run in-process through main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from scaledim.cli import main
@@ -144,6 +149,11 @@ def test_profile_from_schedule(capsys):
     assert rows[0] == "c,lambda,control,dim,status"
     lams = [int(r.split(",")[1]) for r in rows[1:]]
     assert lams == [1, 2, 9, 10]
+    code, out, _ = run(capsys, "profile", "wedgegroup(3,4)", "--c", "2",
+                       "--from-schedule")
+    assert code == 0
+    lams = [int(r.split(",")[1]) for r in out.strip().splitlines()[1:]]
+    assert lams == [1, 2, 9, 10, 138, 139]
 
 
 def test_profile_from_schedule_needs_schedule_spec(capsys):
@@ -189,6 +199,30 @@ def test_strict_escalates_schedule_warnings(capsys):
     code, out, _ = run(capsys, "schedule", "--p", "5", "--N", "2", "--strict")
     assert code == 0
     assert out.endswith("2,3\n")
+
+
+def test_schedule_warning_is_one_plain_line():
+    # In a subprocess: the suite's filterwarnings setting hides the
+    # warning from in-process runs.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    message = ("level 1: the circle has 3 points, so its diameter 1 is at "
+               "most 1 * a_1; the single-family step fails at this level")
+    argv = [sys.executable, "-m", "scaledim", "profile", "wedgegroup(3,2)",
+            "--c", "2", "--from-schedule"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == f"warning: {message}\n"
+    assert proc.stdout == ("c,lambda,control,dim,status\n"
+                           "2,1,2,0,exact\n"
+                           "2,2,4,1,exact\n")
+    proc = subprocess.run(argv + ["--strict"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
 
 
 def test_missing_certificate_file(capsys):

@@ -4,13 +4,14 @@ import warnings
 
 import pytest
 
+from scaledim import solver
 from scaledim import (SmallCircleWarning, WeightSchedule, check_conditions,
                       check_metric, cyclic_group, dim_at_scale,
                       dim_zero_witness, dip_scales, group_truncation,
-                      interval_wedge_truncation, l1_axis_subsets,
-                      l1_prefix_indices, profile, profile_csv, schedule_csv,
-                      subspace, truncation_factors, validate_cover,
-                      wedge_arm_subsets, wedge_prefix_indices,
+                      interval, interval_wedge_truncation, l1_axis_subsets,
+                      l1_prefix_indices, l1_sum, profile, profile_csv,
+                      schedule_csv, subspace, truncation_factors,
+                      validate_cover, wedge_arm_subsets, wedge_prefix_indices,
                       wedge_truncation, weight_schedule)
 
 
@@ -115,7 +116,6 @@ def test_interval_wedge_truncation_shape():
 def test_axis_subsets_are_isometric_to_factors():
     sched = quiet_schedule(3, 3)
     factors = truncation_factors(sched)
-    from scaledim import l1_sum
     total = l1_sum(factors)
     for f, idx in zip(factors, l1_axis_subsets(factors)):
         sub = subspace(total, idx)
@@ -218,7 +218,6 @@ def test_profile_small_space_is_exact():
 def test_profile_large_space_certified_bounds():
     sched = quiet_schedule(3, 3)
     factors = truncation_factors(sched)
-    from scaledim import l1_sum
     g3 = l1_sum(factors, label="group(3,3)")
     prof = profile(g3, 2, [1, 2, 9, 10],
                    witness_subsets=l1_axis_subsets(factors))
@@ -240,6 +239,28 @@ def test_profile_large_space_without_witnesses_probes_two_families():
         assert (s.value, s.status) == (truth.value, "exact")
     else:
         assert (s.value, s.status) == (2, "lower-bound")
+
+
+def test_profile_large_space_maps_each_outcome(monkeypatch):
+    # Over the cap and without witnesses, each scale is one whole-space
+    # scan plus at most a two-family search: 0 or 1 found is exact, two
+    # families refuted is the bound 2, a spent budget leaves 1 unknown.
+    grid = l1_sum([interval(4, 1), interval(4, 1)])
+    scans = []
+    real = solver.lambda_components
+
+    def count(space, lam, subset=None):
+        if space is grid:
+            scans.append(lam)
+        return real(space, lam, subset)
+
+    monkeypatch.setattr(solver, "lambda_components", count)
+    prof = profile(grid, 2, [8, 1, 2], search_size_cap=10)
+    assert [(s.value, s.status) for s in prof.samples] == [
+        (0, "exact"), (1, "exact"), (2, "lower-bound")]
+    assert scans == [8, 1, 2]
+    prof = profile(grid, 2, [1], search_size_cap=10, node_budget=1)
+    assert [(s.value, s.status) for s in prof.samples] == [(1, "unknown")]
 
 
 def test_profile_csv_format():

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from scaledim import (FEASIBLE, INFEASIBLE, UNKNOWN, cyclic_group,
-                      dim_at_scale, dim_at_scale_bruteforce, dim_le,
-                      from_matrix, interval, is_valid_color_class,
+from scaledim import solver
+from scaledim import (FEASIBLE, INFEASIBLE, UNKNOWN, FiniteMetricSpace,
+                      cyclic_group, dim_at_scale, dim_at_scale_bruteforce,
+                      dim_le, from_matrix, interval, is_valid_color_class,
                       l1_sum, lambda_components, lift_product_cover,
                       oracle_check, random_metric_space, relabel, scale,
                       ScaledCover, shrink_to_partition, subspace,
-                      validate_cover, wedge)
+                      validate_cover, wedge, wedge_truncation)
 
 
 def exact_dim(space, lam, control, **kw):
@@ -54,6 +55,28 @@ def test_components_product_path_matches_generic():
     for lam in (1, 2, 10):
         fast = lambda_components(big, lam)
         slow = lambda_components(big, lam, range(big.size))
+        assert fast.blocks == slow.blocks, lam
+        assert fast.diameters == slow.diameters, lam
+
+
+def test_components_wedge_path_matches_generic(random_wedge):
+    for seed in range(8):
+        w = random_wedge(random.Random(100 + seed))
+        # The same metric with no structure, no hints and no row kernel:
+        # the plain BFS and diameter sweep over the scalar oracle.
+        plain = FiniteMetricSpace(w.size, w.dist)
+        dists = {int(v) for i in range(w.size) for v in w.dist_row(i)}
+        for lam in sorted(dists | {0, w.diameter()}):
+            fast = lambda_components(w, lam)          # arm-wise split
+            slow = lambda_components(plain, lam)
+            assert fast.blocks == slow.blocks, (seed, lam)
+            assert fast.diameters == slow.diameters, (seed, lam)
+    w5 = wedge_truncation(3, 5)
+    weights = [f.min_positive_distance() for f in w5.structure[1]]
+    for lam in sorted({0, w5.diameter()} | set(weights)
+                      | {a - 1 for a in weights}):
+        fast = lambda_components(w5, lam)
+        slow = lambda_components(w5, lam, range(w5.size))
         assert fast.blocks == slow.blocks, lam
         assert fast.diameters == slow.diameters, lam
 
@@ -189,6 +212,29 @@ def test_search_is_deterministic():
     assert a.value == b.value
     assert a.certificate == b.certificate
     assert a.nodes == b.nodes
+
+
+def test_dim_at_scale_scans_once(monkeypatch):
+    # The 5x5 grid has dimension 2 at (2, 4): n = 0, 1 and 2 are all
+    # tried, yet the space is scanned and ordered once.
+    grid = l1_sum([interval(4, 1), interval(4, 1)])
+    calls = []
+    for name in ("lambda_components", "_search_order"):
+        def spy(space, *args, _real=getattr(solver, name), _name=name,
+                **kwargs):
+            if space is grid:
+                calls.append(_name)
+            return _real(space, *args, **kwargs)
+        monkeypatch.setattr(solver, name, spy)
+    result = exact_dim(grid, 2, 4)
+    assert result.value == 2
+    assert result.lower_bound_evidence.method == "exhaustive-search"
+    assert calls == ["lambda_components", "_search_order"]
+    assert dim_le(grid, 2, 4, 2).certificate == result.certificate
+    # Settled by the scan alone: no search order is built.
+    calls.clear()
+    assert exact_dim(grid, 2, 8).value == 0
+    assert calls == ["lambda_components"]
 
 
 def test_dim_le_input_validation():

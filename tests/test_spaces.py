@@ -87,6 +87,28 @@ def test_wedge_layout_and_distances():
         w.structure = None
 
 
+def test_wedge_rows_match_scalar_oracle(random_wedge):
+    for seed in range(8):
+        rng = random.Random(seed)
+        w = random_wedge(rng)
+        assert w.has_fast_rows()
+        for i in range(w.size):
+            truth = [w.dist(i, j) for j in range(w.size)]
+            row = w.dist_row(i)
+            assert row.dtype == np.int64
+            assert row.tolist() == truth, (seed, i)
+            shuffled = list(range(w.size))
+            rng.shuffle(shuffled)
+            repeats = [rng.randrange(w.size) for _ in range(2 * w.size)]
+            for targets in (shuffled, repeats, []):
+                got = w.dist_row(i, targets)
+                assert got.dtype == np.int64
+                assert got.tolist() == [truth[j] for j in targets], (seed, i)
+        # The closed forms agree with a sweep over the rows.
+        assert w.diameter() == max(max(w.dist_row(i)) for i in range(w.size))
+        check_metric(w)
+
+
 def test_wedge_needs_basepoints():
     anon = from_matrix([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="factor 1"):
