@@ -6,21 +6,20 @@ from .construction import (ConditionLevel, ConditionsReport, Profile,
                            group_truncation, interval_wedge_truncation,
                            l1_axis_subsets, l1_prefix_indices, profile,
                            profile_csv, schedule_csv, truncation_factors,
-                           wedge_arm_subsets, wedge_prefix_indices,
-                           wedge_truncation, weight_schedule,
-                           witness_subsets)
+                           wedge_arm_subsets, wedge_truncation,
+                           weight_schedule, witness_subsets)
 from .covers import (Certificate, ScaledCover, ValidationReport, Violation,
                      format_certificate, parse_certificate, read_certificate,
                      shrink_to_partition, validate_cover, write_certificate)
 from .solver import (DEFAULT_NODE_BUDGET, FEASIBLE, INFEASIBLE, UNKNOWN,
                      ComponentPartition, DimResult, ExhaustionEvidence,
                      OracleReport, SearchOutcome, dim_at_scale,
-                     dim_at_scale_bruteforce, dim_le, is_valid_color_class,
-                     lambda_components, lift_product_cover, oracle_check)
+                     dim_at_scale_bruteforce, dim_le, lambda_components,
+                     lift_product_cover, oracle_check)
 from .spaces import (FiniteMetricSpace, MetricError, ScalePair, check_metric,
-                     cyclic_group, from_matrix, interval, l1_sum,
-                     random_metric_space, read_matrix_file, relabel, scale,
-                     subspace, wedge)
+                     cyclic_group, from_matrix, interval, l1_blocks,
+                     l1_sum, random_metric_space, read_matrix_file, relabel,
+                     scale, subspace, wedge, wedge_points)
 from .spacespec import (SpaceSpec, SpecParseError, build_space,
                         build_with_witnesses, format_spec, parse_spec)
 

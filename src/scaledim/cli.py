@@ -158,6 +158,11 @@ def _cmd_dim(args) -> int:
         write_certificate(args.certificate, cert)
         print(f"certificate: {args.certificate}")
         return 0
+    if result.status == "lower-bound":
+        print(f"dim: >= {result.lower_bound} (proven lower bound; the "
+              f"scan stopped at --max-n {args.max_n})")
+        print(f"nodes: {result.nodes}")
+        return 0
     print(f"dim: >= {result.lower_bound} (unknown: node budget exhausted)")
     print(f"nodes: {result.nodes}")
     return 3

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 from .covers import ScaledCover, validate_cover
 from .solver import (DEFAULT_NODE_BUDGET, INFEASIBLE, dim_at_scale, dim_le,
                      lambda_components)
-from .spaces import FiniteMetricSpace, cyclic_group, interval, l1_sum, subspace, wedge
+from .spaces import (FiniteMetricSpace, cyclic_group, interval, l1_blocks,
+                     l1_sum, subspace, wedge, wedge_points)
 
 SCHEDULE_MODES = ("group", "wedge", "interval-wedge")
 
@@ -143,29 +144,17 @@ def l1_axis_subsets(factors: Sequence[FiniteMetricSpace]) -> list[list[int]]:
     """For an l1 sum of the given factors: the index sets of the axes,
     one per factor (all other coordinates held at their basepoints).
     The axis subspace is isometric to its factor."""
-    strides = []
-    s = 1
-    for f in factors:
-        strides.append(s)
-        s *= f.size
-    base = sum(f.basepoint * strides[i] for i, f in enumerate(factors))
-    out = []
-    for i, f in enumerate(factors):
-        start = base - f.basepoint * strides[i]
-        out.append(sorted(start + x * strides[i] for x in range(f.size)))
-    return out
+    return [l1_blocks(factors, [[range(g.size)] if i == f else [[g.basepoint]]
+                                for i, g in enumerate(factors)])[0]
+            for f in range(len(factors))]
 
 
 def wedge_arm_subsets(factors: Sequence[FiniteMetricSpace]) -> list[list[int]]:
     """For a wedge of the given factors: the index sets of the arms,
     each including the wedge point, one per factor.  The arm subspace is
     isometric to its factor."""
-    out = []
-    start = 1
-    for f in factors:
-        out.append([0] + list(range(start, start + f.size - 1)))
-        start += f.size - 1
-    return out
+    return [wedge_points(factors, f, range(g.size))
+            for f, g in enumerate(factors)]
 
 
 def witness_subsets(space: FiniteMetricSpace) -> list[list[int]]:
@@ -182,26 +171,11 @@ def witness_subsets(space: FiniteMetricSpace) -> list[list[int]]:
 
 def l1_prefix_indices(factors: Sequence[FiniteMetricSpace], n: int) -> list[int]:
     """Indices of the sub-sum of the first n factors inside the full l1
-    sum (later coordinates at their basepoints).  Contiguous because the
-    first factor varies fastest and basepoints sit at index 0 for the
-    scheduled factors."""
-    strides = []
-    s = 1
-    for f in factors:
-        strides.append(s)
-        s *= f.size
-    count = 1
-    for f in factors[:n]:
-        count *= f.size
-    tail_base = sum(f.basepoint * strides[i]
-                    for i, f in enumerate(factors) if i >= n)
-    return [tail_base + x for x in range(count)]
-
-
-def wedge_prefix_indices(factors: Sequence[FiniteMetricSpace], n: int) -> list[int]:
-    """Indices of the wedge of the first n arms inside the full wedge."""
-    count = 1 + sum(f.size - 1 for f in factors[:n])
-    return list(range(count))
+    sum (later coordinates at their basepoints).  Contiguous whatever the
+    basepoints, because the first n factors are the low digits of the
+    index."""
+    return l1_blocks(factors, [[range(g.size)] if i < n else [[g.basepoint]]
+                               for i, g in enumerate(factors)])[0]
 
 
 # -- the structural conditions ------------------------------------------------
@@ -292,12 +266,7 @@ def _prefix_diameter(schedule: WeightSchedule,
         return 0
     if schedule.mode == "group":
         return sum(f.diameter() for f in prior)
-    eccs = sorted(max(f.dist(q, f.basepoint) for q in range(f.size))
-                  for f in prior)
-    best = max(f.diameter() for f in prior)
-    if len(eccs) >= 2:
-        best = max(best, eccs[-1] + eccs[-2])
-    return best
+    return wedge(prior).diameter()
 
 
 def check_conditions(schedule: WeightSchedule,
@@ -413,7 +382,7 @@ def _sample_large(space: FiniteMetricSpace, lam: int, control: int,
     r = dim_at_scale(space, lam, control, max_n=1, node_budget=node_budget)
     if r.status == "exact":
         return ProfileSample(lam, control, r.value, "exact")
-    if r.lower_bound > 1:
+    if r.status == "lower-bound":
         return ProfileSample(lam, control, 2, "lower-bound")
     return ProfileSample(lam, control, 1, "unknown")
 
@@ -433,6 +402,9 @@ def profile(space: FiniteMetricSpace, c: int, lambdas: Sequence[int], *,
     """
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"c must be a positive integer, got {c!r}")
+    if search_size_cap < 0:
+        raise ValueError(f"search_size_cap must be nonnegative, "
+                         f"got {search_size_cap}")
     samples = []
     for lam in lambdas:
         control = c * lam

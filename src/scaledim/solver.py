@@ -28,7 +28,7 @@ import numpy as np
 
 from .covers import ScaledCover, validate_cover
 from .spaces import (MATRIX_CACHE_LIMIT, FiniteMetricSpace, ScalePair,
-                     random_metric_space)
+                     l1_blocks, random_metric_space, wedge_points)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -104,25 +104,10 @@ def _components_product(factors: Sequence[FiniteMetricSpace],
     # Varying the last factor's block slowest lists the blocks sorted by
     # least member, as the index is mixed-radix with factor 1 fastest.
     parts = [lambda_components(f, lam) for f in factors]
-    strides = []
-    s = 1
-    for f in factors:
-        strides.append(s)
-        s *= f.size
-    blocks = []
-    diams = []
-    for combo in itertools.product(*(range(len(p.blocks))
-                                     for p in reversed(parts))):
-        members = [0]
-        diam = 0
-        for f, bi in enumerate(reversed(combo)):
-            block = parts[f].blocks[bi]
-            members = [m + q * strides[f] for q in block for m in members]
-            diam += parts[f].diameters[bi]
-        members.sort()
-        blocks.append(tuple(members))
-        diams.append(diam)
-    return ComponentPartition(tuple(blocks), tuple(diams))
+    blocks = l1_blocks(factors, [p.blocks for p in parts])
+    diams = itertools.product(*(p.diameters for p in reversed(parts)))
+    return ComponentPartition(tuple(map(tuple, blocks)),
+                              tuple(map(sum, diams)))
 
 
 def _components_wedge(factors: Sequence[FiniteMetricSpace],
@@ -141,22 +126,17 @@ def _components_wedge(factors: Sequence[FiniteMetricSpace],
     eccs = []
     rest = []
     rest_diams = []
-    start = 1
-    for f in factors:
-        b = f.basepoint
-        parts = lambda_components(f, lam)
+    for f, g in enumerate(factors):
+        parts = lambda_components(g, lam)
         for block, diam in zip(parts.blocks, parts.diameters):
-            pts = np.asarray(block, dtype=np.intp)
-            arm = pts[pts != b]
-            mapped = (start + arm - (arm > b)).tolist()
-            if arm.size < pts.size:
-                glued.extend(mapped)
+            mapped = wedge_points(factors, f, block)
+            if mapped[0] == 0:
+                glued.extend(mapped[1:])
                 glued_diam = max(glued_diam, diam)
-                eccs.append(int(f.dist_row(b, pts).max()))
+                eccs.append(int(g.dist_row(g.basepoint, block).max()))
             else:
                 rest.append(tuple(mapped))
                 rest_diams.append(diam)
-        start += f.size - 1
     top = sorted(eccs)[-2:]
     if len(top) == 2:
         glued_diam = max(glued_diam, top[0] + top[1])
@@ -199,16 +179,6 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
     return ComponentPartition(
         tuple(tuple(b) for b in blocks),
         tuple(_exact_diameter(space, b) for b in blocks))
-
-
-def is_valid_color_class(space: FiniteMetricSpace, lam: int, control: int,
-                         points: Sequence[int]) -> bool:
-    """True when every lam-component of the point set has diameter at
-    most control, i.e. the set works as one family of a cover."""
-    if not points:
-        return True
-    parts = lambda_components(space, lam, points)
-    return parts.max_diameter() <= control
 
 
 # -- incremental colour classes ---------------------------------------------
@@ -432,8 +402,11 @@ class DimResult:
 
     status "exact": value is the dimension, certificate witnesses the
     upper bound, and lower_bound_evidence (absent when value is 0) shows
-    value-1 families were impossible.  status "unknown": the node budget
-    ran out; value is None and lower_bound is the best proven bound.
+    value-1 families were impossible.  status "lower-bound": max_n ended
+    the scan; every n <= max_n was refuted, so value is None, lower_bound
+    is max_n + 1 and lower_bound_evidence refutes n = max_n.  status
+    "unknown": the node budget ran out; value is None and lower_bound is
+    the best proven bound.
     """
 
     status: str
@@ -452,11 +425,15 @@ def dim_at_scale(space: FiniteMetricSpace, lam: int, control: int, *,
 
     Tries n = 0, 1, ... in turn; n = size-1 always succeeds, so the loop
     terminates with an exact value unless the per-call node budget gives
-    out first (status "unknown") or max_n cuts the scan short.
+    out first (status "unknown") or max_n cuts the scan short (status
+    "lower-bound").
     """
     ScalePair(lam, control)
-    top = space.size - 1 if max_n is None else min(max_n, space.size - 1)
-    top = max(top, 0)
+    top = max(space.size - 1, 0)
+    if max_n is not None:
+        if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
+            raise ValueError(f"max_n must be a nonnegative integer, got {max_n!r}")
+        top = min(top, max_n)
     parts, order = _scan(space, lam, control, top)
     total_nodes = 0
     evidence = None
@@ -471,7 +448,7 @@ def dim_at_scale(space: FiniteMetricSpace, lam: int, control: int, *,
             return DimResult("unknown", None, n, None, evidence, total_nodes)
         evidence = outcome.evidence
         n += 1
-    return DimResult("unknown", None, top + 1, None, evidence, total_nodes)
+    return DimResult("lower-bound", None, top + 1, None, evidence, total_nodes)
 
 
 # -- independent brute-force oracle -----------------------------------------
@@ -479,14 +456,15 @@ def dim_at_scale(space: FiniteMetricSpace, lam: int, control: int, *,
 _BRUTE_LIMIT = 10
 
 
-def _brute_family_ok(space: FiniteMetricSpace, lam: int, control: int,
-                     points: list[int]) -> bool:
-    # Deliberately self-contained: plain BFS components plus a direct
-    # diameter sweep, sharing nothing with the search code above.
+def _brute_components(space: FiniteMetricSpace, lam: int,
+                      points: list[int]) -> list[list[int]]:
+    # Deliberately self-contained, as is the diameter sweep below: plain
+    # BFS over the scalar oracle, sharing nothing with the search code.
     left = set(points)
+    comps = []
     while left:
         seed = min(left)
-        comp = {seed}
+        comp = [seed]
         queue = [seed]
         left.discard(seed)
         while queue:
@@ -494,37 +472,17 @@ def _brute_family_ok(space: FiniteMetricSpace, lam: int, control: int,
             for r in list(left):
                 if space.dist(q, r) <= lam:
                     left.discard(r)
-                    comp.add(r)
+                    comp.append(r)
                     queue.append(r)
-        comp = sorted(comp)
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                if space.dist(comp[a], comp[b]) > control:
-                    return False
-    return True
+        comps.append(comp)
+    return comps
 
 
-def _brute_cover_from_blocks(space: FiniteMetricSpace, lam: int, control: int,
-                             blocks: list[list[int]]) -> ScaledCover:
-    families = []
-    for pts in blocks:
-        left = set(pts)
-        clusters = []
-        while left:
-            seed = min(left)
-            comp = {seed}
-            queue = [seed]
-            left.discard(seed)
-            while queue:
-                q = queue.pop()
-                for r in list(left):
-                    if space.dist(q, r) <= lam:
-                        left.discard(r)
-                        comp.add(r)
-                        queue.append(r)
-            clusters.append(comp)
-        families.append(clusters)
-    return ScaledCover.of(lam, control, families)
+def _brute_family_ok(space: FiniteMetricSpace, lam: int, control: int,
+                     points: list[int]) -> bool:
+    return all(space.dist(a, b) <= control
+               for comp in _brute_components(space, lam, points)
+               for a, b in itertools.combinations(comp, 2))
 
 
 def dim_at_scale_bruteforce(space: FiniteMetricSpace, lam: int,
@@ -565,7 +523,8 @@ def dim_at_scale_bruteforce(space: FiniteMetricSpace, lam: int,
                 blocks.pop()
 
     extend(1)
-    cover = _brute_cover_from_blocks(space, lam, control, best_blocks)
+    cover = ScaledCover.of(lam, control, [_brute_components(space, lam, b)
+                                          for b in best_blocks])
     report = validate_cover(space, cover)
     if not report.ok:
         raise AssertionError(f"brute-force cover failed validation: "
@@ -602,8 +561,11 @@ def oracle_check(*, seed: int = 0, cases: int = 100, size_max: int = 7,
                  grid: int = 4) -> OracleReport:
     """Compare dim_at_scale with the brute-force oracle on seeded random
     spaces over a grid of scales drawn from each space's distances."""
-    if size_max > _BRUTE_LIMIT:
-        raise ValueError(f"size_max must be at most {_BRUTE_LIMIT}")
+    if cases < 1:
+        raise ValueError(f"cases must be positive, got {cases}")
+    if not 2 <= size_max <= _BRUTE_LIMIT:
+        raise ValueError(f"size_max must be between 2 and {_BRUTE_LIMIT}, "
+                         f"got {size_max}")
     rng = random.Random(seed)
     checks = 0
     mismatches = []
@@ -675,33 +637,15 @@ def lift_product_cover(spaces: Sequence[FiniteMetricSpace], k: int,
         raise ValueError(f"lifted cover would list {total} points, over the "
                          f"cap {size_cap}")
 
-    prefix_count = 1
-    for sp in spaces[:k - 1]:
-        prefix_count *= sp.size
     prefix_diam = sum(sp.diameter() for sp in spaces[:k - 1])
-    k_stride = prefix_count * factor.size
-    tail_sizes = [sp.size for sp in spaces[k:]]
-    tail_count = 1
-    for s in tail_sizes:
-        tail_count *= s
-
-    def tail_offset(u: int) -> int:
-        off = 0
-        stride = k_stride
-        for s in tail_sizes:
-            off += (u % s) * stride
-            stride *= s
-            u //= s
-        return off
-
+    # Leading coordinates arbitrary, trailing ones fixed one by one.
+    choices = ([[range(sp.size)] for sp in spaces[:k - 1]] + [None]
+               + [[[q] for q in range(sp.size)] for sp in spaces[k:]])
     families = []
     for fam in cover_on_k.families:
         lifted = []
         for cl in fam:
-            pts = sorted(cl)
-            for u in range(tail_count):
-                off = tail_offset(u)
-                lifted.append([off + x * prefix_count + pre
-                               for x in pts for pre in range(prefix_count)])
+            choices[k - 1] = [sorted(cl)]
+            lifted.extend(l1_blocks(spaces, choices))
         families.append(lifted)
     return ScaledCover.of(lam, prefix_diam + control, families)

@@ -434,6 +434,33 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
     return space
 
 
+def wedge_points(factors: Sequence[FiniteMetricSpace], f: int,
+                 local: Iterable[int]) -> list[int]:
+    """Indices in ``wedge(factors)`` of the points ``local`` of factor f
+    (0-based), sorted.  The factor's basepoint maps to the wedge point 0."""
+    start = 1 + sum(g.size - 1 for g in factors[:f])
+    b = factors[f].basepoint
+    return sorted(0 if q == b else start + q - (q > b) for q in local)
+
+
+def l1_blocks(factors: Sequence[FiniteMetricSpace],
+              choices: Sequence[Sequence[Iterable[int]]]) -> list[list[int]]:
+    """Index blocks of ``l1_sum(factors)``: for each way to pick one
+    index set from every ``choices[f]``, the points whose f-th
+    coordinate lies in the set picked for factor f.
+
+    The last factor's pick varies slowest.  Each block is increasing
+    when the picked sets are, as factor 1 is the lowest digit.
+    """
+    blocks = [[0]]
+    stride = 1
+    for g, sets in zip(factors, choices, strict=True):
+        blocks = [[m + q * stride for q in s for m in b]
+                  for s in sets for b in blocks]
+        stride *= g.size
+    return blocks
+
+
 def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
            size_cap: int = DEFAULT_PRODUCT_CAP,
            label: Optional[str] = None) -> FiniteMetricSpace:
@@ -493,11 +520,7 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
                 out += mats[f][r][sub[:, f]]
             return out
 
-    base = 0
-    stride = 1
-    for f, sp in enumerate(spaces):
-        base += sp.basepoint * stride
-        stride *= sizes[f]
+    base = l1_blocks(spaces, [[[sp.basepoint]] for sp in spaces])[0][0]
     minpos = None
     pos_factors = [sp for sp in spaces if sp.size >= 2]
     if pos_factors:

@@ -93,6 +93,44 @@ def test_dim_budget_exhaustion_exits_3(capsys, tmp_path):
     assert "dim: >= 1 (unknown" in out
 
 
+def test_dim_max_n_stop_is_a_proven_lower_bound(capsys, tmp_path):
+    # circle(9,1) has diameter 4 > 2, so n = 0 is refuted by the scan
+    # alone: no node is spent and no budget runs out.
+    cert = tmp_path / "c.txt"
+    code, out, err = run(capsys, "dim", "circle(9,1)", "--lambda", "1",
+                         "--control", "2", "--max-n", "0",
+                         "--certificate", str(cert))
+    assert code == 0
+    assert err == ""
+    assert out == ("space: circle(9,1) (9 points)\n"
+                   "scale: lambda=1 control=2\n"
+                   "dim: >= 1 (proven lower bound; the scan stopped at "
+                   "--max-n 0)\n"
+                   "nodes: 0\n")
+    assert not cert.exists()
+    code, out, err = run(capsys, "dim", "circle(9,1)", "--lambda", "1",
+                         "--control", "2", "--max-n", "-1",
+                         "--certificate", str(cert))
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_n must be a nonnegative integer, got -1\n"
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle-check", "--cases", "-3"], "cases must be positive, got -3"),
+    (["oracle-check", "--size-max", "1"],
+     "size_max must be between 2 and 10, got 1"),
+    (["profile", "circle(9,1)", "--c", "2", "--lambda-list", "1",
+      "--cap", "-5"], "search_size_cap must be nonnegative, got -5"),
+])
+def test_out_of_range_integers_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_budget_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SCALEDIM_NODE_BUDGET", "2")
     code, out, _ = run(capsys, "dim", "circle(12,1)", "--lambda", "1",

@@ -1,5 +1,6 @@
 """Weight schedules, truncations, structural conditions, and profiles."""
 
+import random
 import warnings
 
 import pytest
@@ -7,12 +8,12 @@ import pytest
 from scaledim import solver
 from scaledim import (SmallCircleWarning, WeightSchedule, check_conditions,
                       check_metric, cyclic_group, dim_at_scale,
-                      dim_zero_witness, dip_scales, group_truncation,
-                      interval, interval_wedge_truncation, l1_axis_subsets,
-                      l1_prefix_indices, l1_sum, profile, profile_csv,
-                      schedule_csv, subspace, truncation_factors,
-                      validate_cover, wedge_arm_subsets, wedge_prefix_indices,
-                      wedge_truncation, weight_schedule)
+                      dim_zero_witness, dip_scales, from_matrix,
+                      group_truncation, interval, interval_wedge_truncation,
+                      l1_axis_subsets, l1_prefix_indices, l1_sum, profile,
+                      profile_csv, relabel, schedule_csv, subspace,
+                      truncation_factors, validate_cover, wedge_arm_subsets,
+                      wedge_points, wedge_truncation, weight_schedule)
 
 
 def quiet_schedule(p, levels, mode="group"):
@@ -114,35 +115,58 @@ def test_interval_wedge_truncation_shape():
 
 
 def test_axis_subsets_are_isometric_to_factors():
-    sched = quiet_schedule(3, 3)
-    factors = truncation_factors(sched)
-    total = l1_sum(factors)
-    for f, idx in zip(factors, l1_axis_subsets(factors)):
-        sub = subspace(total, idx)
-        assert sub.size == f.size
-        assert all(sub.dist(i, j) == f.dist(i, j)
-                   for i in range(f.size) for j in range(f.size))
+    # The scheduled circles have basepoint 0; the second sum has a
+    # relabelled circle and a matrix factor with basepoints elsewhere,
+    # so its axes do not start at point 0.
+    shuffled = relabel(cyclic_group(5, 2), [3, 0, 4, 1, 2])
+    matrix = from_matrix([[0, 2, 3, 4], [2, 0, 1, 2], [3, 1, 0, 3],
+                          [4, 2, 3, 0]], basepoint=2)
+    for factors in (truncation_factors(quiet_schedule(3, 3)),
+                    [shuffled, matrix, cyclic_group(3, 7)]):
+        total = l1_sum(factors)
+        axes = l1_axis_subsets(factors)
+        assert total.basepoint in set.intersection(*map(set, axes))
+        for f, idx in zip(factors, axes):
+            sub = subspace(total, idx)
+            assert sub.size == f.size
+            assert sub.basepoint == f.basepoint
+            assert all(sub.dist(i, j) == f.dist(i, j)
+                       for i in range(f.size) for j in range(f.size))
+    assert axes[0][0] != 0 and axes[2][0] != 0
 
 
-def test_arm_subsets_are_isometric_to_factors():
-    sched = quiet_schedule(3, 3, "wedge")
-    factors = truncation_factors(sched)
-    total = wedge_truncation(3, 3)
-    for f, idx in zip(factors, wedge_arm_subsets(factors)):
-        sub = subspace(total, idx)
-        assert sub.size == f.size
-        got = sorted(sub.dist(0, q) for q in range(sub.size))
-        want = sorted(f.dist(f.basepoint, q) for q in range(f.size))
-        assert got == want
+def test_arm_subsets_are_isometric_to_factors(random_wedge):
+    # The random wedges have arms whose basepoint is not point 0.
+    wedges = [wedge_truncation(3, 3)]
+    wedges += [random_wedge(random.Random(200 + seed)) for seed in range(4)]
+    for w in wedges:
+        factors = w.structure[1]
+        arms = wedge_arm_subsets(factors)
+        assert sorted(p for idx in arms for p in idx[1:]) == \
+            list(range(1, w.size))
+        for f, (arm, idx) in enumerate(zip(factors, arms)):
+            sub = subspace(w, idx)
+            assert sub.size == arm.size
+            assert idx == wedge_points(factors, f, range(arm.size))
+            assert wedge_points(factors, f, [arm.basepoint]) == [0]
+        points = [(f, q) for f, arm in enumerate(factors)
+                  for q in range(arm.size)]
+        for f, q in points:
+            wq = wedge_points(factors, f, [q])[0]
+            for g, r in points:
+                wr = wedge_points(factors, g, [r])[0]
+                if f == g:
+                    want = factors[f].dist(q, r)
+                else:
+                    want = (factors[f].dist(q, factors[f].basepoint)
+                            + factors[g].dist(r, factors[g].basepoint))
+                assert w.dist(wq, wr) == want, (f, q, g, r)
 
 
 def test_prefix_indices():
     factors = truncation_factors(quiet_schedule(3, 3))
     assert l1_prefix_indices(factors, 1) == [0, 1, 2]
     assert l1_prefix_indices(factors, 2) == list(range(27))
-    wf = truncation_factors(quiet_schedule(3, 3, "wedge"))
-    assert wedge_prefix_indices(wf, 1) == [0, 1, 2]
-    assert wedge_prefix_indices(wf, 2) == list(range(11))
 
 
 # -- conditions ----------------------------------------------------------------

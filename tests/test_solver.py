@@ -1,5 +1,6 @@
 """Feasibility search, exact dimension, components, and the lift."""
 
+import math
 import random
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from scaledim import solver
 from scaledim import (FEASIBLE, INFEASIBLE, UNKNOWN, FiniteMetricSpace,
                       cyclic_group, dim_at_scale, dim_at_scale_bruteforce,
-                      dim_le, from_matrix, interval, is_valid_color_class,
-                      l1_sum, lambda_components, lift_product_cover,
+                      dim_le, from_matrix, interval, l1_sum,
+                      lambda_components, lift_product_cover,
                       oracle_check, random_metric_space, relabel, scale,
                       ScaledCover, shrink_to_partition, subspace,
                       validate_cover, wedge, wedge_truncation)
@@ -57,6 +58,21 @@ def test_components_product_path_matches_generic():
         slow = lambda_components(big, lam, range(big.size))
         assert fast.blocks == slow.blocks, lam
         assert fast.diameters == slow.diameters, lam
+    # Factors whose basepoint is not point 0: a relabelled circle and a
+    # seeded matrix space.
+    rng = random.Random(5)
+    perm = list(range(6))
+    rng.shuffle(perm)
+    rm = random_metric_space(4, rng)
+    rows = [[rm.dist(i, j) for j in range(4)] for i in range(4)]
+    mixed = l1_sum([relabel(cyclic_group(6, 2), perm),
+                    from_matrix(rows, basepoint=2), interval(2, 3)])
+    dists = {int(v) for i in range(mixed.size) for v in mixed.dist_row(i)}
+    for lam in sorted(dists):
+        fast = lambda_components(mixed, lam)
+        slow = lambda_components(mixed, lam, range(mixed.size))
+        assert fast.blocks == slow.blocks, lam
+        assert fast.diameters == slow.diameters, lam
 
 
 def test_components_wedge_path_matches_generic(random_wedge):
@@ -86,8 +102,9 @@ def test_component_chains_can_exceed_lambda_in_diameter():
     parts = lambda_components(sp, 1)
     assert parts.blocks == ((0, 1, 2, 3, 4),)
     assert parts.diameters == (4,)
-    assert is_valid_color_class(sp, 1, 4, range(5))
-    assert not is_valid_color_class(sp, 1, 3, range(5))
+    # As one family the chain needs control 4, not 3.
+    diam = lambda_components(sp, 1, range(5)).max_diameter()
+    assert 3 < diam <= 4
 
 
 # -- dim_le / dim_at_scale ----------------------------------------------------
@@ -158,7 +175,7 @@ def test_unknown_on_tiny_budget():
 def test_max_n_stops_the_scan():
     sp = interval(5, 1)
     result = dim_at_scale(sp, 1, 0, max_n=0)
-    assert result.status == "unknown"
+    assert result.status == "lower-bound"
     assert result.lower_bound == 1
 
 
@@ -256,10 +273,41 @@ def lift_factors():
     return [cyclic_group(3, 1), cyclic_group(9, 2), cyclic_group(27, 10)]
 
 
+def checked_lift(factors, k, base):
+    # Each lifted cluster must be a base cluster C in coordinate k, one
+    # fixed choice of the later coordinates and every choice of the
+    # earlier ones, read off the mixed-radix digits of its points.
+    lifted = lift_product_cover(factors, k, base)
+    sizes = [f.size for f in factors]
+    lead, tail = math.prod(sizes[:k - 1]), math.prod(sizes[k:])
+
+    def digits(x):
+        out = []
+        for s in sizes:
+            x, r = divmod(x, s)
+            out.append(r)
+        return out
+
+    assert len(lifted.families) == len(base.families)
+    for fam, base_fam in zip(lifted.families, base.families):
+        assert len(fam) == len(base_fam) * tail
+        picks = set()
+        for cl in fam:
+            ds = [digits(x) for x in cl]
+            on_k = frozenset(d[k - 1] for d in ds)
+            tails = {tuple(d[k:]) for d in ds}
+            assert on_k in base_fam and len(tails) == 1
+            assert len(cl) == len(on_k) * lead
+            picks.add((on_k, tails.pop()))
+        assert len(picks) == len(fam)
+    assert validate_cover(l1_sum(factors), lifted).ok
+    return lifted
+
+
 def test_lift_through_middle_factor():
     factors = lift_factors()
     base_cover = ScaledCover.of(9, 8, [[list(range(9))]])
-    lifted = lift_product_cover(factors, 2, base_cover)
+    lifted = checked_lift(factors, 2, base_cover)
     assert lifted.scale.lam == 9
     assert lifted.scale.control == 9  # prefix diameter 1 + control 8
     total = l1_sum(factors)
@@ -277,10 +325,21 @@ def test_lift_keeps_family_structure():
     # two families on the 4-cycle at (3, 3): opposite edges
     base = ScaledCover.of(3, 3, [[[0, 1]], [[2, 3]]])
     assert validate_cover(factors[1], base).ok
-    lifted = lift_product_cover(factors, 2, base)
+    lifted = checked_lift(factors, 2, base)
     assert len(lifted.families) == 2
     assert lifted.scale.control == 5 + 3
-    assert validate_cover(l1_sum(factors), lifted).ok
+    # The first factor (no prefix) and the last of three.
+    ends = lift_factors()
+    first = ScaledCover.of(1, 0, [[[0]], [[1]], [[2]]])
+    lifted = checked_lift(ends[:2], 1, first)
+    assert len(lifted.families) == 3
+    assert lifted.scale.control == 0
+    # opposite arcs of the 27-cycle, 70 apart, diameter at most 60
+    last = ScaledCover.of(10, 60, [[range(0, 7), range(14, 21)],
+                                   [range(7, 14), range(21, 27)]])
+    lifted = checked_lift(ends, 3, last)
+    assert len(lifted.families) == 2
+    assert lifted.scale.control == 1 + 8 + 60
 
 
 def test_lift_rejects_insufficiently_separated_tail():
