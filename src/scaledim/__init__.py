@@ -7,7 +7,7 @@ from .construction import (ConditionLevel, ConditionsReport, Profile,
                            l1_axis_subsets, l1_prefix_indices, profile,
                            profile_csv, schedule_csv, truncation_factors,
                            wedge_arm_subsets, wedge_truncation,
-                           weight_schedule, witness_subsets)
+                           weight_schedule)
 from .covers import (Certificate, ScaledCover, ValidationReport, Violation,
                      format_certificate, parse_certificate, read_certificate,
                      shrink_to_partition, validate_cover, write_certificate)

@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 from .construction import (DEFAULT_SEARCH_SIZE_CAP, SmallCircleWarning,
                            profile, profile_csv, schedule_csv, weight_schedule)
 from .covers import Certificate, read_certificate, validate_cover, write_certificate
-from .solver import DEFAULT_NODE_BUDGET, dim_at_scale, oracle_check
+from .solver import _BRUTE_LIMIT, DEFAULT_NODE_BUDGET, dim_at_scale, oracle_check
 from .spaces import MetricError, check_metric
-from .spacespec import SpecParseError, build_with_witnesses, format_spec, parse_spec
+from .spacespec import SpecParseError, build_space, format_spec, parse_spec
 
 _BUDGET_ENV = "SCALEDIM_NODE_BUDGET"
 
@@ -126,9 +126,16 @@ def _node_budget(args) -> int:
     return DEFAULT_NODE_BUDGET
 
 
+def _check_range(option: str, value: int, ok: bool, need: str) -> None:
+    # The library checks these values too, but its message names its
+    # own keyword; the user typed the option.
+    if not ok:
+        raise ValueError(f"{option} must be {need}, got {value}")
+
+
 def _cmd_build(args) -> int:
     spec = parse_spec(args.spec)
-    space, _ = build_with_witnesses(spec)
+    space = build_space(spec)
     print(f"spec: {format_spec(spec)}")
     print(f"label: {space.label}")
     print(f"size: {space.size}")
@@ -144,8 +151,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    _check_range("--max-n", args.max_n,
+                 args.max_n is None or args.max_n >= 0, "nonnegative")
     spec = parse_spec(args.spec)
-    space, _ = build_with_witnesses(spec)
+    space = build_space(spec)
     budget = _node_budget(args)
     result = dim_at_scale(space, args.lam, args.control,
                           node_budget=budget, max_n=args.max_n)
@@ -188,17 +197,18 @@ def _schedule_lambdas(space) -> list[int]:
 
 
 def _cmd_profile(args) -> int:
+    _check_range("--cap", args.cap, args.cap >= 0, "nonnegative")
     spec = parse_spec(args.spec)
     if args.lambda_list is not None:
         lams = _lambda_list(args.lambda_list)
     elif spec.name not in ("group", "wedgegroup"):
         raise ValueError("--from-schedule needs a group(...) or "
                          "wedgegroup(...) spec")
-    space, witnesses = build_with_witnesses(spec)
+    space = build_space(spec)
     if args.lambda_list is None:
         lams = _schedule_lambdas(space)
-    prof = profile(space, args.c, lams, witness_subsets=witnesses,
-                   search_size_cap=args.cap, node_budget=_node_budget(args))
+    prof = profile(space, args.c, lams, search_size_cap=args.cap,
+                   node_budget=_node_budget(args))
     text = profile_csv(prof)
     sys.stdout.write(text)
     if args.csv:
@@ -215,7 +225,7 @@ def _cmd_profile(args) -> int:
 def _cmd_verify(args) -> int:
     cert = read_certificate(args.certificate)
     spec = parse_spec(args.spec)
-    space, _ = build_with_witnesses(spec)
+    space = build_space(spec)
     if cert.size != space.size:
         print(f"error: certificate is for {cert.size} points but "
               f"{space.label} has {space.size}", file=sys.stderr)
@@ -242,6 +252,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    _check_range("--cases", args.cases, args.cases >= 1, "positive")
+    _check_range("--size-max", args.size_max,
+                 2 <= args.size_max <= _BRUTE_LIMIT,
+                 f"between 2 and {_BRUTE_LIMIT}")
     report = oracle_check(seed=args.seed, cases=args.cases,
                           size_max=args.size_max)
     print(f"oracle-check: seed={args.seed} cases={report.cases} "

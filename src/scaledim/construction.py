@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .covers import ScaledCover, validate_cover
-from .solver import (DEFAULT_NODE_BUDGET, INFEASIBLE, dim_at_scale, dim_le,
-                     lambda_components)
+from .solver import DEFAULT_NODE_BUDGET, dim_at_scale, lambda_components
 from .spaces import (FiniteMetricSpace, cyclic_group, interval, l1_blocks,
-                     l1_sum, subspace, wedge, wedge_points)
+                     l1_sum, wedge, wedge_points)
 
 SCHEDULE_MODES = ("group", "wedge", "interval-wedge")
 
@@ -157,18 +156,6 @@ def wedge_arm_subsets(factors: Sequence[FiniteMetricSpace]) -> list[list[int]]:
             for f, g in enumerate(factors)]
 
 
-def witness_subsets(space: FiniteMetricSpace) -> list[list[int]]:
-    """Distinguished subsets worth probing when a space is too large for
-    the exact search: the factor axes of an l1 sum, the arms of a wedge,
-    and none for any other space."""
-    if space.structure is None:
-        return []
-    kind, factors = space.structure
-    if kind == "sum":
-        return l1_axis_subsets(factors)
-    return wedge_arm_subsets(factors)
-
-
 def l1_prefix_indices(factors: Sequence[FiniteMetricSpace], n: int) -> list[int]:
     """Indices of the sub-sum of the first n factors inside the full l1
     sum (later coordinates at their basepoints).  Contiguous whatever the
@@ -270,12 +257,14 @@ def _prefix_diameter(schedule: WeightSchedule,
 
 
 def check_conditions(schedule: WeightSchedule,
-                     factors: Optional[Sequence[FiniteMetricSpace]] = None, *,
-                     node_budget: int = DEFAULT_NODE_BUDGET) -> ConditionsReport:
+                     factors: Optional[Sequence[FiniteMetricSpace]] = None
+                     ) -> ConditionsReport:
     """Verify the structural conditions of a schedule by computation.
 
-    The rise checks run the real feasibility search on each piece, so
-    the report reflects the spaces as built, not the intended design.
+    The rise checks scan the a_n-components of each piece once: one
+    family covers the piece at (a_n, c*a_n) exactly when no component is
+    wider than c*a_n, so the widest component decides every c.  The
+    report reflects the spaces as built, not the intended design.
     """
     if factors is None:
         factors = truncation_factors(schedule)
@@ -286,10 +275,8 @@ def check_conditions(schedule: WeightSchedule,
         a_n = schedule.weight(n)
         piece = factors[n - 1]
         discrete_ok = piece.is_lambda_discrete(a_n)
-        rises = []
-        for c in range(1, n + 1):
-            outcome = dim_le(piece, a_n, c * a_n, 0, node_budget=node_budget)
-            rises.append((c, outcome.status == INFEASIBLE))
+        widest = lambda_components(piece, a_n).max_diameter()
+        rises = [(c, widest > c * a_n) for c in range(1, n + 1)]
         prereq = piece.diameter() > n * a_n
         prefix_ok = None
         if n > 1:
@@ -365,60 +352,43 @@ class Profile:
     samples: tuple[ProfileSample, ...]
 
 
-def _sample_large(space: FiniteMetricSpace, lam: int, control: int,
-                  witness_subsets: Sequence[Sequence[int]],
-                  cap: int, node_budget: int) -> ProfileSample:
-    # Policy for spaces over the size cap: cheap certified bounds only.
-    best = 0
-    for idx in witness_subsets:
-        if len(idx) > cap:
-            continue
-        sub = subspace(space, idx)
-        r = dim_at_scale(sub, lam, control, node_budget=node_budget)
-        if r.status == "exact" and r.value > best:
-            best = r.value
-    if best >= 1:
-        return ProfileSample(lam, control, best, "lower-bound")
-    r = dim_at_scale(space, lam, control, max_n=1, node_budget=node_budget)
-    if r.status == "exact":
-        return ProfileSample(lam, control, r.value, "exact")
-    if r.status == "lower-bound":
-        return ProfileSample(lam, control, 2, "lower-bound")
-    return ProfileSample(lam, control, 1, "unknown")
-
-
 def profile(space: FiniteMetricSpace, c: int, lambdas: Sequence[int], *,
-            witness_subsets: Optional[Sequence[Sequence[int]]] = None,
             search_size_cap: int = DEFAULT_SEARCH_SIZE_CAP,
             node_budget: int = DEFAULT_NODE_BUDGET) -> Profile:
     """Measure the dimension of a space at control c*lam over a list of
     separation scales.
 
     Spaces within the size cap get the exact search.  Larger spaces get
-    certified bounds instead: the best exact dimension among the witness
-    subspaces (a lower bound, since dimension is monotone under taking
-    subspaces), a whole-space component scan to certify zeroes, and a
-    single two-family probe.
+    certified bounds instead.  The factors of a sum or wedge (each
+    isometric to an axis or arm, so a subspace) that fit the cap are
+    searched exactly; a positive value among them is a lower bound, since
+    dimension is monotone under taking subspaces.  Otherwise a
+    whole-space component scan certifies zeroes and a single two-family
+    search follows.
     """
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"c must be a positive integer, got {c!r}")
     if search_size_cap < 0:
         raise ValueError(f"search_size_cap must be nonnegative, "
                          f"got {search_size_cap}")
+    over = space.size > search_size_cap
+    probes = []
+    if over and space.structure is not None:
+        probes = [f for f in space.structure[1] if f.size <= search_size_cap]
     samples = []
     for lam in lambdas:
         control = c * lam
-        if space.size <= search_size_cap:
-            r = dim_at_scale(space, lam, control, node_budget=node_budget)
-            if r.status == "exact":
-                samples.append(ProfileSample(lam, control, r.value, "exact"))
-            else:
-                samples.append(ProfileSample(lam, control, r.lower_bound,
-                                             "unknown"))
-        else:
-            samples.append(_sample_large(space, lam, control,
-                                         witness_subsets or [],
-                                         search_size_cap, node_budget))
+        best = 0
+        for factor in probes:
+            r = dim_at_scale(factor, lam, control, node_budget=node_budget)
+            if r.status == "exact" and r.value > best:
+                best = r.value
+        if best >= 1:
+            samples.append(ProfileSample(lam, control, best, "lower-bound"))
+            continue
+        r = dim_at_scale(space, lam, control, node_budget=node_budget,
+                         max_n=1 if over else None)
+        samples.append(ProfileSample(lam, control, r.lower_bound, r.status))
     return Profile(space.label, c, tuple(samples))
 
 

@@ -296,8 +296,12 @@ def build_space(spec: SpaceSpec) -> FiniteMetricSpace:
 
 
 def build_with_witnesses(spec: SpaceSpec) -> tuple[FiniteMetricSpace, list[list[int]]]:
-    """Build a space along with distinguished subsets worth probing when
-    the space is too large for the exact search (see
-    construction.witness_subsets)."""
+    """Build a space along with the index sets of its factors: the axes
+    of a sum or the arms of a wedge, none for any other space."""
     space = build_space(spec)
-    return space, _cons.witness_subsets(space)
+    if space.structure is None:
+        return space, []
+    kind, factors = space.structure
+    if kind == "sum":
+        return space, _cons.l1_axis_subsets(factors)
+    return space, _cons.wedge_arm_subsets(factors)

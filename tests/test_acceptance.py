@@ -217,8 +217,7 @@ def test_criterion_05_profile_shadow():
     scale and is at least 1 at every rise scale, in every truncation
     computed."""
     g3, factors3 = group_space(3)
-    prof = profile(g3, 2, [1, 2, 9, 10],
-                   witness_subsets=l1_axis_subsets(factors3))
+    prof = profile(g3, 2, [1, 2, 9, 10])
     by_lam = {s.lam: s for s in prof.samples}
     assert (by_lam[1].value, by_lam[1].status) == (0, "exact")
     assert (by_lam[9].value, by_lam[9].status) == (0, "exact")

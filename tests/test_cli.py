@@ -113,16 +113,16 @@ def test_dim_max_n_stop_is_a_proven_lower_bound(capsys, tmp_path):
                          "--certificate", str(cert))
     assert code == 2
     assert out == ""
-    assert err == "error: max_n must be a nonnegative integer, got -1\n"
+    assert err == "error: --max-n must be nonnegative, got -1\n"
     assert not cert.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["oracle-check", "--cases", "-3"], "cases must be positive, got -3"),
+    (["oracle-check", "--cases", "-3"], "--cases must be positive, got -3"),
     (["oracle-check", "--size-max", "1"],
-     "size_max must be between 2 and 10, got 1"),
+     "--size-max must be between 2 and 10, got 1"),
     (["profile", "circle(9,1)", "--c", "2", "--lambda-list", "1",
-      "--cap", "-5"], "search_size_cap must be nonnegative, got -5"),
+      "--cap", "-5"], "--cap must be nonnegative, got -5"),
 ])
 def test_out_of_range_integers_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -192,6 +192,17 @@ def test_profile_from_schedule(capsys):
     assert code == 0
     lams = [int(r.split(",")[1]) for r in out.strip().splitlines()[1:]]
     assert lams == [1, 2, 9, 10, 138, 139]
+
+
+def test_readme_profile_example(capsys):
+    # The README's profile block is the command's real output.
+    command = '$ scaledim profile "group(3,3)" --c 2 --from-schedule\n'
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split(command, 1)[1].split("```", 1)[0]
+    code, out, _ = run(capsys, "profile", "group(3,3)", "--c", "2",
+                       "--from-schedule")
+    assert code == 0
+    assert out == block
 
 
 def test_profile_from_schedule_needs_schedule_spec(capsys):

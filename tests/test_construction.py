@@ -5,9 +5,10 @@ import warnings
 
 import pytest
 
-from scaledim import solver
-from scaledim import (SmallCircleWarning, WeightSchedule, check_conditions,
-                      check_metric, cyclic_group, dim_at_scale,
+from scaledim import construction, solver
+from scaledim import (INFEASIBLE, SmallCircleWarning, WeightSchedule,
+                      check_conditions, check_metric, cyclic_group,
+                      dim_at_scale, dim_le,
                       dim_zero_witness, dip_scales, from_matrix,
                       group_truncation, interval, interval_wedge_truncation,
                       l1_axis_subsets, l1_prefix_indices, l1_sum, profile,
@@ -205,6 +206,29 @@ def test_constant_weights_fail_by_design():
     assert all(lv.rises_hold() for lv in report.levels if lv.length_prerequisite)
 
 
+def test_rises_come_from_one_scan_per_level(monkeypatch):
+    # The widest a_n-component decides the single-family question for
+    # every c at once; check it against the search, level by level.
+    scans = []
+    real = construction.lambda_components
+
+    def count(space, lam, subset=None):
+        scans.append(lam)
+        return real(space, lam, subset)
+
+    monkeypatch.setattr(construction, "lambda_components", count)
+    for mode in ("group", "wedge"):
+        for depth in (1, 2, 3, 4):
+            sched = quiet_schedule(3, depth, mode)
+            scans.clear()
+            report = check_conditions(sched)
+            assert scans == list(sched.weights)
+            for lv, piece in zip(report.levels, truncation_factors(sched)):
+                assert lv.rise_ok == tuple(
+                    (c, dim_le(piece, lv.weight, c * lv.weight, 0).status
+                     == INFEASIBLE) for c in range(1, lv.n + 1))
+
+
 def test_conditions_factor_count_mismatch():
     sched = quiet_schedule(3, 2)
     with pytest.raises(ValueError, match="expected 2 factors"):
@@ -243,18 +267,43 @@ def test_profile_large_space_certified_bounds():
     sched = quiet_schedule(3, 3)
     factors = truncation_factors(sched)
     g3 = l1_sum(factors, label="group(3,3)")
-    prof = profile(g3, 2, [1, 2, 9, 10],
-                   witness_subsets=l1_axis_subsets(factors))
+    prof = profile(g3, 2, [1, 2, 9, 10])
     rows = [(s.lam, s.control, s.value, s.status) for s in prof.samples]
     assert rows == [(1, 2, 0, "exact"), (2, 4, 1, "lower-bound"),
                     (9, 18, 0, "exact"), (10, 20, 1, "lower-bound")]
+
+
+def test_profile_large_space_probes_the_factors(monkeypatch):
+    # Over the cap, the factors of a sum or wedge that fit the cap are
+    # searched as they are: a positive value there is a lower bound and
+    # settles the scale; a zero leaves it to the whole space.
+    seen = []
+    real = construction.dim_at_scale
+
+    def record(space, *args, **kwargs):
+        seen.append(space)
+        return real(space, *args, **kwargs)
+
+    monkeypatch.setattr(construction, "dim_at_scale", record)
+    # Spaces compare by identity: the probes are the factor objects.
+    g2 = group_truncation(3, 2)
+    prof = profile(g2, 2, [2], search_size_cap=10)
+    assert [(s.value, s.status) for s in prof.samples] == [(1, "lower-bound")]
+    assert seen == list(g2.structure[1])
+    seen.clear()
+    w3 = wedge_truncation(3, 3)
+    prof = profile(w3, 2, [1, 2], search_size_cap=10)
+    assert [(s.value, s.status) for s in prof.samples] == [
+        (0, "exact"), (1, "lower-bound")]
+    c3, c9, _ = w3.structure[1]
+    assert seen == [c3, c9, w3, c3, c9]
 
 
 def test_profile_large_space_without_witnesses_probes_two_families():
     # with no witnesses the big-space policy falls back to a component
     # scan plus a single two-family probe; on a space that is actually
     # small we can check the answer against the exact search
-    g2 = group_truncation(3, 2)
+    g2 = relabel(group_truncation(3, 2), range(27))
     truth = dim_at_scale(g2, 2, 4)
     assert truth.status == "exact"
     prof = profile(g2, 2, [2], search_size_cap=10)
@@ -269,7 +318,7 @@ def test_profile_large_space_maps_each_outcome(monkeypatch):
     # Over the cap and without witnesses, each scale is one whole-space
     # scan plus at most a two-family search: 0 or 1 found is exact, two
     # families refuted is the bound 2, a spent budget leaves 1 unknown.
-    grid = l1_sum([interval(4, 1), interval(4, 1)])
+    grid = relabel(l1_sum([interval(4, 1), interval(4, 1)]), range(25))
     scans = []
     real = solver.lambda_components
 
