@@ -60,10 +60,16 @@ class FiniteMetricSpace:
 
     ``structure`` is ("sum", factors) for an l1 sum, ("wedge", factors)
     for a wedge and None for any other space; factors are in index order.
+
+    ``metric_guaranteed`` is True only when the constructor knows that the
+    oracle obeys the triangle inequality: the library constructors of
+    metrics, sums and wedges of such spaces, their subspaces, scalings
+    and relabellings, and matrices small enough to be checked
+    exhaustively.  A space built directly from an oracle is False.
     """
 
     __slots__ = ("size", "basepoint", "label", "_oracle", "_rows", "_matrix",
-                 "_diam", "_minpos", "_structure")
+                 "_diam", "_minpos", "_structure", "_metric")
 
     def __init__(self, size: int, oracle: Callable[[int, int], int], *,
                  basepoint: Optional[int] = None, label: str = "space",
@@ -83,10 +89,15 @@ class FiniteMetricSpace:
         self._diam = diameter_hint
         self._minpos = min_positive_hint
         self._structure: Optional[tuple] = None
+        self._metric = False
 
     @property
     def structure(self) -> Optional[tuple]:
         return self._structure
+
+    @property
+    def metric_guaranteed(self) -> bool:
+        return self._metric
 
     # -- queries ---------------------------------------------------------
 
@@ -278,6 +289,7 @@ def from_matrix(rows: Sequence[Sequence[int]], *, label: Optional[str] = None,
                               basepoint=basepoint,
                               label=label or f"matrix({m})")
     space._matrix = mat
+    space._metric = m <= EXHAUSTIVE_CHECK_LIMIT
     return space
 
 
@@ -316,10 +328,12 @@ def interval(k: int, a: int = 1) -> FiniteMetricSpace:
             np.asarray(targets, dtype=np.int64)
         return a * np.abs(t - i)
 
-    return FiniteMetricSpace(k + 1, lambda i, j: a * abs(i - j),
-                             basepoint=0, label=f"interval({k},{a})",
-                             rows=rows, diameter_hint=a * k,
-                             min_positive_hint=a)
+    space = FiniteMetricSpace(k + 1, lambda i, j: a * abs(i - j),
+                              basepoint=0, label=f"interval({k},{a})",
+                              rows=rows, diameter_hint=a * k,
+                              min_positive_hint=a)
+    space._metric = True
+    return space
 
 
 def cyclic_group(m: int, a: int = 1) -> FiniteMetricSpace:
@@ -346,9 +360,11 @@ def cyclic_group(m: int, a: int = 1) -> FiniteMetricSpace:
         d = np.abs(t - i)
         return a * np.minimum(d, m - d)
 
-    return FiniteMetricSpace(m, oracle, basepoint=0, label=f"circle({m},{a})",
-                             rows=rows, diameter_hint=a * (m // 2),
-                             min_positive_hint=a)
+    space = FiniteMetricSpace(m, oracle, basepoint=0, label=f"circle({m},{a})",
+                              rows=rows, diameter_hint=a * (m // 2),
+                              min_positive_hint=a)
+    space._metric = True
+    return space
 
 
 def wedge(spaces: Sequence[FiniteMetricSpace], *,
@@ -431,6 +447,7 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
         label=label or "wedge(" + ",".join(sp.label for sp in spaces) + ")",
         rows=rows, diameter_hint=diam, min_positive_hint=minpos)
     space._structure = ("wedge", tuple(spaces))
+    space._metric = all(sp.metric_guaranteed for sp in spaces)
     return space
 
 
@@ -530,6 +547,7 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
         label=label or "sum(" + ",".join(sp.label for sp in spaces) + ")",
         rows=rows, diameter_hint=diam, min_positive_hint=minpos)
     space._structure = ("sum", tuple(spaces))
+    space._metric = all(sp.metric_guaranteed for sp in spaces)
     return space
 
 
@@ -559,8 +577,10 @@ def subspace(space: FiniteMetricSpace, indices: Iterable[int]) -> FiniteMetricSp
     if space.basepoint is not None and space.basepoint in set(orig):
         base = orig.index(space.basepoint)
     shown = ",".join(str(i) for i in orig[:12]) + (",..." if len(orig) > 12 else "")
-    return FiniteMetricSpace(len(orig), oracle, basepoint=base,
-                             label=f"sub({space.label},[{shown}])", rows=rows)
+    sub = FiniteMetricSpace(len(orig), oracle, basepoint=base,
+                            label=f"sub({space.label},[{shown}])", rows=rows)
+    sub._metric = space.metric_guaranteed
+    return sub
 
 
 def scale(space: FiniteMetricSpace, a: int) -> FiniteMetricSpace:
@@ -577,10 +597,12 @@ def scale(space: FiniteMetricSpace, a: int) -> FiniteMetricSpace:
     minpos = None
     if space.size >= 2:
         minpos = a * space.min_positive_distance()
-    return FiniteMetricSpace(space.size, lambda i, j: a * space.dist(i, j),
-                             basepoint=space.basepoint,
-                             label=f"scale({space.label},{a})", rows=rows,
-                             diameter_hint=diam, min_positive_hint=minpos)
+    scaled = FiniteMetricSpace(space.size, lambda i, j: a * space.dist(i, j),
+                               basepoint=space.basepoint,
+                               label=f"scale({space.label},{a})", rows=rows,
+                               diameter_hint=diam, min_positive_hint=minpos)
+    scaled._metric = space.metric_guaranteed
+    return scaled
 
 
 def relabel(space: FiniteMetricSpace, perm: Sequence[int]) -> FiniteMetricSpace:
@@ -603,10 +625,12 @@ def relabel(space: FiniteMetricSpace, perm: Sequence[int]) -> FiniteMetricSpace:
             return space.dist_row(inv[i], t)
 
     base = None if space.basepoint is None else perm[space.basepoint]
-    return FiniteMetricSpace(space.size, oracle, basepoint=base,
+    copy = FiniteMetricSpace(space.size, oracle, basepoint=base,
                              label=f"relabel({space.label})", rows=rows,
                              diameter_hint=space._diam,
                              min_positive_hint=space._minpos)
+    copy._metric = space.metric_guaranteed
+    return copy
 
 
 def random_metric_space(n_points: int, rng, *, max_entry: int = 9,
@@ -634,4 +658,7 @@ def random_metric_space(n_points: int, rng, *, max_entry: int = 9,
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
-    return from_matrix(d, label=label or f"random({n_points})")
+    # A shortest-path closure is a metric however many points it has.
+    space = from_matrix(d, label=label or f"random({n_points})")
+    space._metric = True
+    return space

@@ -85,6 +85,20 @@ def test_verify_reports_violations(capsys, tmp_path):
     assert "cluster" in out
 
 
+@pytest.mark.parametrize("old, new", [("family 0", "familyfoo"),
+                                      ("cluster ", "clusterbar ")],
+                         ids=["family", "cluster"])
+def test_verify_rejects_unknown_line_keywords(capsys, tmp_path, old, new):
+    cert = tmp_path / "c.txt"
+    run(capsys, "dim", "interval(3,1)", "--lambda", "1", "--control", "2",
+        "--certificate", str(cert))
+    cert.write_text(cert.read_text().replace(old, new, 1))
+    code, out, err = run(capsys, "verify", str(cert), "interval(3,1)")
+    assert code == 2
+    assert out == ""
+    assert "unrecognised line" in err and new.strip() in err
+
+
 def test_dim_budget_exhaustion_exits_3(capsys, tmp_path):
     code, out, _ = run(capsys, "dim", "circle(12,1)", "--lambda", "1",
                        "--control", "1", "--budget", "2",

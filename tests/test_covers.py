@@ -1,10 +1,17 @@
 """Cover validation, shrinking, and certificate files."""
 
+import random
+
+import numpy as np
 import pytest
 
-from scaledim import (Certificate, ScaledCover, format_certificate, interval,
-                      parse_certificate, read_certificate, shrink_to_partition,
-                      validate_cover, write_certificate)
+from scaledim import (Certificate, FiniteMetricSpace, ScaledCover, ScalePair,
+                      Violation, cyclic_group, dim_at_scale,
+                      format_certificate, from_matrix, interval, l1_sum,
+                      parse_certificate, random_metric_space,
+                      read_certificate, relabel, scale, shrink_to_partition,
+                      subspace, validate_cover, wedge, write_certificate)
+from scaledim.spacespec import build_space, parse_spec
 
 
 def path4():
@@ -56,6 +63,10 @@ def test_out_of_range_point_is_usage_error():
 def test_empty_cluster_rejected_at_construction():
     with pytest.raises(ValueError, match="nonempty"):
         ScaledCover.of(1, 2, [[[]]])
+    # a cover built around ScaledCover.of is refused by the validator
+    raw = ScaledCover(ScalePair(1, 2), ((frozenset(range(4)), frozenset()),))
+    with pytest.raises(ValueError, match="nonempty"):
+        validate_cover(path4(), raw)
 
 
 def test_cluster_normalisation_orders_by_min():
@@ -119,6 +130,11 @@ def test_certificate_file_roundtrip(tmp_path):
      "families: 0\n", "must be integers"),
     ("scaled-cover 1\nlabel: x\nsize: 2\nlambda: 1\ncontrol: 2\n"
      "families: 1\nfamily 0\ncluster 0 q\n", "bad cluster"),
+    ("scaled-cover 1\nlabel: x\nsize: 2\nlambda: 1\ncontrol: 2\n"
+     "families: 1\nfamilyfoo\ncluster 0 1\n", "unrecognised line 'familyfoo'"),
+    ("scaled-cover 1\nlabel: x\nsize: 2\nlambda: 1\ncontrol: 2\n"
+     "families: 1\nfamily 0\nclusterbar 1\n",
+     "unrecognised line 'clusterbar 1'"),
 ])
 def test_certificate_parse_errors(text, message):
     with pytest.raises(ValueError, match=message):
@@ -132,3 +148,119 @@ def test_empty_families_roundtrip():
     assert validate_cover(sp, cover).ok
     cert = Certificate("pad", 4, cover)
     assert parse_certificate(format_certificate(cert)) == cert
+
+
+# -- pruning by the triangle inequality -----------------------------------
+
+
+def test_pruning_is_off_where_the_triangle_inequality_fails():
+    # d(p,x) = 1, d(p,y) = 10, d(x,y) = 1: from p's row alone {p,x} and
+    # {y} look 10 - 1 = 9 > lam apart, yet x and y are 1 apart.
+    d = {(0, 1): 1, (0, 2): 10, (1, 2): 1}
+    sp = FiniteMetricSpace(3, lambda i, j: 0 if i == j
+                           else d[min(i, j), max(i, j)])
+    assert not sp.metric_guaranteed
+    report = validate_cover(sp, ScaledCover.of(2, 5, [[[0, 1], [2]]]))
+    assert report.violations == (
+        Violation("family-separation", (0, 0, 1, 1, 2), 1),)
+
+
+def test_metric_guaranteed_by_constructor():
+    circle, line = cyclic_group(5, 2), interval(3, 1)
+    small = from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]], basepoint=0)
+    rand = random_metric_space(6, 3)
+    summed = l1_sum([circle, line, small])
+    wedged = wedge([circle, summed, relabel(line, [3, 2, 1, 0])])
+    for sp in (circle, line, small, rand, summed, wedged,
+               subspace(summed, [0, 4, 7]), scale(wedged, 3),
+               relabel(rand, [5, 4, 3, 2, 1, 0]),
+               build_space(parse_spec("wedgegroup(3,3)"))):
+        assert sp.metric_guaranteed, sp.label
+
+    oracle = FiniteMetricSpace(3, lambda i, j: abs(i - j), basepoint=0)
+    big = from_matrix([[abs(i - j) for j in range(201)] for i in range(201)],
+                      basepoint=0)
+    for sp in (oracle, big, l1_sum([circle, oracle]), wedge([line, oracle]),
+               subspace(oracle, [0, 2]), scale(big, 2),
+               relabel(oracle, [2, 1, 0])):
+        assert not sp.metric_guaranteed, sp.label
+
+
+def _exact_copy(space):
+    """The same distances, served from a table, with no metric
+    guarantee: validated point by point."""
+    table = np.stack([space.dist_row(i) for i in range(space.size)])
+
+    def rows(i, targets):
+        return table[i] if targets is None else table[i, targets]
+
+    return FiniteMetricSpace(space.size, space.dist, rows=rows)
+
+
+def _move_one_point(cover, rng):
+    """Move one random point from its cluster to another cluster of the
+    same family, or into a new cluster of its own."""
+    fams = [list(fam) for fam in cover.families]
+    f = rng.choice([f for f, fam in enumerate(fams) if fam])
+    fam = fams[f]
+    a = rng.randrange(len(fam))
+    p = rng.choice(sorted(fam[a]))
+    fam[a] = fam[a] - {p}
+    b = rng.randrange(len(fam) + 1)
+    if b == len(fam):
+        fam.append(frozenset({p}))
+    else:
+        fam[b] = fam[b] | {p}
+    return ScaledCover.of(cover.scale.lam, cover.scale.control,
+                          [[cl for cl in fam if cl] for fam in fams])
+
+
+@pytest.mark.parametrize("spec, lam, control", [
+    ("group(3,3)", 9, 18),
+    ("sum(circle(9,2),circle(27,10),circle(9,140))", 139, 278),
+    ("wedgegroup(3,4)", 26, 52),
+])
+def test_pruned_reports_equal_exact_on_solver_covers(spec, lam, control):
+    space = build_space(parse_spec(spec))
+    assert space.metric_guaranteed
+    exact = _exact_copy(space)
+    cover = dim_at_scale(space, lam, control).certificate
+    assert validate_cover(space, cover) == validate_cover(exact, cover)
+    rng = random.Random(spec)
+    rejected = 0
+    for _ in range(20):
+        bad = _move_one_point(cover, rng)
+        report = validate_cover(space, bad)
+        assert report == validate_cover(exact, bad)
+        rejected += not report.ok
+    assert rejected
+
+
+def test_pruned_reports_equal_exact_on_random_covers():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1),
+                      size=st.integers(1, 14),
+                      families=st.integers(1, 3),
+                      max_entry=st.integers(1, 12),
+                      data=st.data())
+    def check(seed, size, families, max_entry, data):
+        space = random_metric_space(size, seed, max_entry=max_entry)
+        diam = space.diameter()
+        lam = data.draw(st.integers(0, diam + 1), label="lam")
+        control = data.draw(st.integers(0, 2 * diam + 1), label="control")
+        # owner[p] is p's cluster in the family, -1 leaves p out of it
+        labels = st.lists(st.integers(-1, size - 1), min_size=size,
+                          max_size=size)
+        fams = []
+        for _ in range(families):
+            owner = data.draw(labels, label="owner")
+            fams.append([[p for p in range(size) if owner[p] == c]
+                         for c in sorted(set(owner) - {-1})])
+        cover = ScaledCover.of(lam, control, fams)
+        assert validate_cover(space, cover) == \
+            validate_cover(_exact_copy(space), cover)
+
+    check()
