@@ -274,6 +274,9 @@ def parse_certificate(text: str) -> Certificate:
         ln = ln.strip()
         tokens = ln.split()
         if tokens[0] == "family":
+            if tokens[1:] != [str(len(families))]:
+                raise ValueError(f"certificate: expected 'family "
+                                 f"{len(families)}', got {ln!r}")
             current = []
             families.append(current)
         elif tokens[0] == "cluster":

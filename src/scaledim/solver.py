@@ -15,6 +15,13 @@ depth-first search with exact incremental component tracking decides
 feasibility; exhausting the tree is a proof of infeasibility.  A node
 budget converts oversized searches into an explicit "unknown" rather
 than a wrong answer.
+
+The search visits points in decreasing order of their number of
+lam-neighbours, and keeps each point's neighbour list from the pass that
+counts them.  Each colour class keeps an owner array naming the
+component that holds each point, so inserting a point reads the owners
+of its neighbours and then one distance row per component it joins:
+components out of its reach cost nothing.
 """
 
 from __future__ import annotations
@@ -183,89 +190,122 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
 
 # -- incremental colour classes ---------------------------------------------
 
+# Neighbour entries kept in memory by one search; past this, a point's
+# neighbours are read again at each visit.
+_NEIGHBOUR_LIMIT = 1 << 22
 
-class _Comp:
-    __slots__ = ("members", "diam")
 
-    def __init__(self, members: list[int], diam: int):
-        self.members = members
-        self.diam = diam
+class _Neighbours:
+    """Each point's lam-neighbours other than itself, as index arrays.
+
+    A point's row is read on first use and kept while the kept rows hold
+    at most _NEIGHBOUR_LIMIT entries in all, so a dense lam-graph on many
+    points costs rereads rather than memory.
+    """
+
+    __slots__ = ("space", "lam", "rows", "kept")
+
+    def __init__(self, space: FiniteMetricSpace, lam: int):
+        self.space = space
+        self.lam = lam
+        self.rows: list[Optional[np.ndarray]] = [None] * space.size
+        self.kept = 0
+
+    def __call__(self, p: int) -> np.ndarray:
+        near = self.rows[p]
+        if near is None:
+            mask = self.space.dist_row(p) <= self.lam
+            mask[p] = False
+            near = np.flatnonzero(mask)
+            if self.kept + near.size <= _NEIGHBOUR_LIMIT:
+                self.rows[p] = near
+                self.kept += near.size
+        return near
 
 
 class _ColorClass:
     """One colour class of the search: its lam-components with exact
-    diameters, maintained incrementally with undo."""
+    diameters, maintained incrementally with undo.
 
-    __slots__ = ("space", "lam", "control", "comps", "next_id")
+    ``owner[q]`` is the id of the component holding point q, or -1 when
+    q is not in the class; a component's id is one of its points, and
+    ``members`` and ``diam`` map ids to member lists and diameters.
+    """
 
-    def __init__(self, space: FiniteMetricSpace, lam: int, control: int):
+    __slots__ = ("space", "control", "owner", "members", "diam")
+
+    def __init__(self, space: FiniteMetricSpace, control: int):
         self.space = space
-        self.lam = lam
         self.control = control
-        self.comps: dict[int, _Comp] = {}
-        self.next_id = 0
+        self.owner = np.full(space.size, -1, dtype=np.int32)
+        self.members: dict[int, list[int]] = {}
+        self.diam: dict[int, int] = {}
 
-    def try_insert(self, p: int):
-        """Insert point p if the class stays valid; return an undo token
-        or None when insertion would push a component over the control."""
-        touching = []
-        for cid, comp in self.comps.items():
-            row = self.space.dist_row(p, comp.members)
-            dmin = int(row.min())
-            if dmin <= self.lam:
-                dmax = int(row.max())
-                if dmax > self.control:
-                    return None
-                touching.append((cid, comp, dmax))
-        if not touching:
-            cid = self.next_id
-            self.next_id += 1
-            self.comps[cid] = _Comp([p], 0)
-            return ("single", cid)
-        diam = max(max(comp.diam for _, comp, _ in touching),
-                   max(dmax for _, _, dmax in touching))
-        if diam > self.control:
-            return None
-        if len(touching) > 1:
+    def try_insert(self, p: int, near: np.ndarray):
+        """Insert point p, whose lam-neighbours are ``near``, if the class
+        stays valid; return an undo token, or None when insertion would
+        push a component over the control.  A refused insert changes
+        nothing."""
+        touched = set(self.owner[near].tolist())
+        touched.discard(-1)
+        members, diams = self.members, self.diam
+        if not touched:
+            self.owner[p] = p
+            members[p] = [p]
+            diams[p] = 0
+            return (p, p, 0, 0, ())
+        space, control = self.space, self.control
+        diam = 0
+        for c in touched:
+            d = max(diams[c], int(space.dist_row(p, members[c]).max()))
+            if d > control:
+                return None
+            diam = max(diam, d)
+        moved = ()
+        if len(touched) == 1:
+            main = c
+        else:
             # Merging several components: their cross distances become
-            # internal, so the exact merged diameter needs the pairwise
-            # maxima between the merged member sets as well.
-            for a in range(len(touching)):
-                for b in range(a + 1, len(touching)):
-                    ca = touching[a][1]
-                    cb = touching[b][1]
-                    arr = np.asarray(cb.members, dtype=np.intp)
-                    for q in ca.members:
-                        m = int(self.space.dist_row(q, arr).max())
-                        if m > diam:
-                            diam = m
-                    if diam > self.control:
+            # internal.  Each smaller component reads its rows over the
+            # members merged so far, which start as the largest one's.
+            main = max(touched, key=lambda c: len(members[c]))
+            merged = list(members[main])
+            for c in touched:
+                if c == main:
+                    continue
+                arr = np.asarray(merged, dtype=np.intp)
+                for q in members[c]:
+                    diam = max(diam, int(space.dist_row(q, arr).max()))
+                    if diam > control:
                         return None
-        main_cid, main, _ = touching[0]
-        old_len = len(main.members)
-        old_diam = main.diam
-        removed = []
-        for cid, comp, _ in touching[1:]:
-            main.members.extend(comp.members)
-            removed.append((cid, comp))
-            del self.comps[cid]
-        main.members.append(p)
-        main.diam = diam
-        return ("merge", main_cid, old_len, old_diam, removed)
+                merged.extend(members[c])
+            moved = tuple((c, members.pop(c), diams.pop(c))
+                          for c in touched if c != main)
+        big = members[main]
+        token = (p, main, len(big), diams[main], moved)
+        for c, ms, _ in moved:
+            big.extend(ms)
+            self.owner[ms] = main
+        big.append(p)
+        self.owner[p] = main
+        diams[main] = diam
+        return token
 
     def undo(self, token) -> None:
-        if token[0] == "single":
-            del self.comps[token[1]]
+        p, main, old_len, old_diam, moved = token
+        self.owner[p] = -1
+        if old_len == 0:
+            del self.members[main], self.diam[main]
             return
-        _, main_cid, old_len, old_diam, removed = token
-        main = self.comps[main_cid]
-        del main.members[old_len:]
-        main.diam = old_diam
-        for cid, comp in removed:
-            self.comps[cid] = comp
+        del self.members[main][old_len:]
+        self.diam[main] = old_diam
+        for c, ms, d in moved:
+            self.members[c] = ms
+            self.diam[c] = d
+            self.owner[ms] = c
 
     def clusters(self) -> list[frozenset]:
-        return [frozenset(comp.members) for comp in self.comps.values()]
+        return [frozenset(ms) for ms in self.members.values()]
 
 
 # -- feasibility search -----------------------------------------------------
@@ -288,23 +328,25 @@ class SearchOutcome:
     evidence: Optional[ExhaustionEvidence] = None
 
 
-def _search_order(space: FiniteMetricSpace, lam: int) -> list[int]:
-    # Densify first where allowed: the degree pass and the search both
-    # read every row.
+def _search_order(space: FiniteMetricSpace,
+                  lam: int) -> tuple[list[int], _Neighbours]:
+    # The search order, most lam-neighbours first, and the neighbour
+    # table, whose rows the ordering pass fills.  Densify first where
+    # allowed: that pass reads every row.  Above _DEGREE_ORDER_LIMIT the
+    # order is the index order and rows are read as the search visits.
     m = space.size
     if m <= MATRIX_CACHE_LIMIT:
         space.densify()
+    near = _Neighbours(space, lam)
     if m > _DEGREE_ORDER_LIMIT:
-        return list(range(m))
-    deg = [0] * m
-    for i in range(m):
-        deg[i] = int((space.dist_row(i) <= lam).sum()) - 1
-    return sorted(range(m), key=lambda i: (-deg[i], i))
+        return list(range(m)), near
+    deg = [near(i).size for i in range(m)]
+    return sorted(range(m), key=lambda i: (-deg[i], i)), near
 
 
 def _scan(space: FiniteMetricSpace, lam: int, control: int,
-          top: int) -> tuple[ComponentPartition, Optional[list[int]]]:
-    # The component partition, and the search order when a search for
+          top: int) -> tuple[ComponentPartition, Optional[tuple]]:
+    # The component partition, and the _search_order when a search for
     # some n <= top will be needed: n = 0 is settled by the partition
     # alone, and so is every n once one family suffices.
     parts = lambda_components(space, lam)
@@ -315,7 +357,7 @@ def _scan(space: FiniteMetricSpace, lam: int, control: int,
 
 
 def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
-            parts: ComponentPartition, order: Optional[list[int]],
+            parts: ComponentPartition, order: Optional[tuple],
             node_budget: int) -> SearchOutcome:
     # dim_le on a precomputed _scan of the space.
     # One family suffices exactly when every lam-component is small
@@ -336,7 +378,8 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
 
     m = space.size
     kmax = n + 1
-    classes = [_ColorClass(space, lam, control) for _ in range(kmax)]
+    points, neighbours = order
+    classes = [_ColorClass(space, control) for _ in range(kmax)]
     choice = [-1] * m
     undos: list = [None] * m
     used_before = [0] * m
@@ -344,7 +387,8 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
     nodes = 0
     t = 0
     while 0 <= t < m:
-        p = order[t]
+        p = points[t]
+        near = neighbours(p)
         c = choice[t] + 1
         limit = min(used + 1, kmax)
         placed = False
@@ -352,7 +396,7 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
             nodes += 1
             if nodes > node_budget:
                 return SearchOutcome(UNKNOWN, None, nodes)
-            token = classes[c].try_insert(p)
+            token = classes[c].try_insert(p, near)
             if token is not None:
                 choice[t] = c
                 undos[t] = token

@@ -99,6 +99,18 @@ def test_verify_rejects_unknown_line_keywords(capsys, tmp_path, old, new):
     assert "unrecognised line" in err and new.strip() in err
 
 
+@pytest.mark.parametrize("new", ["family 7 whatever", "family 1", "family"])
+def test_verify_rejects_wrong_family_index(capsys, tmp_path, new):
+    cert = tmp_path / "c.txt"
+    run(capsys, "dim", "interval(3,1)", "--lambda", "1", "--control", "2",
+        "--certificate", str(cert))
+    cert.write_text(cert.read_text().replace("family 0", new, 1))
+    code, out, err = run(capsys, "verify", str(cert), "interval(3,1)")
+    assert code == 2
+    assert out == ""
+    assert f"expected 'family 0', got {new!r}" in err
+
+
 def test_dim_budget_exhaustion_exits_3(capsys, tmp_path):
     code, out, _ = run(capsys, "dim", "circle(12,1)", "--lambda", "1",
                        "--control", "1", "--budget", "2",
@@ -206,6 +218,27 @@ def test_profile_from_schedule(capsys):
     assert code == 0
     lams = [int(r.split(",")[1]) for r in out.strip().splitlines()[1:]]
     assert lams == [1, 2, 9, 10, 138, 139]
+
+
+def test_profile_wedgegroup_3_7_rise_scales(capsys):
+    # 3273 points, above the matrix limit.  The n = 1 searches at the
+    # rise scales 694172 and 253367220 decide dimension 1 exactly.
+    code, out, _ = run(capsys, "profile", "wedgegroup(3,7)", "--c", "2",
+                       "--from-schedule")
+    assert code == 0
+    assert out == ("c,lambda,control,dim,status\n"
+                   "2,1,2,0,exact\n"
+                   "2,2,4,1,lower-bound\n"
+                   "2,9,18,0,exact\n"
+                   "2,10,20,1,lower-bound\n"
+                   "2,138,276,0,exact\n"
+                   "2,139,278,1,lower-bound\n"
+                   "2,5690,11380,0,exact\n"
+                   "2,5691,11382,1,lower-bound\n"
+                   "2,694171,1388342,0,exact\n"
+                   "2,694172,1388344,1,exact\n"
+                   "2,253367219,506734438,0,exact\n"
+                   "2,253367220,506734440,1,exact\n")
 
 
 def test_readme_profile_example(capsys):

@@ -135,6 +135,15 @@ def test_certificate_file_roundtrip(tmp_path):
     ("scaled-cover 1\nlabel: x\nsize: 2\nlambda: 1\ncontrol: 2\n"
      "families: 1\nfamily 0\nclusterbar 1\n",
      "unrecognised line 'clusterbar 1'"),
+    ("scaled-cover 1\nlabel: x\nsize: 2\nlambda: 1\ncontrol: 2\n"
+     "families: 2\nfamily 0\ncluster 0\nfamily 2\ncluster 1\n",
+     "expected 'family 1', got 'family 2'"),
+    ("scaled-cover 1\nlabel: x\nsize: 2\nlambda: 1\ncontrol: 2\n"
+     "families: 1\nfamily 0 whatever\ncluster 0 1\n",
+     "expected 'family 0', got 'family 0 whatever'"),
+    ("scaled-cover 1\nlabel: x\nsize: 2\nlambda: 1\ncontrol: 2\n"
+     "families: 1\nfamily\ncluster 0 1\n",
+     "expected 'family 0', got 'family'"),
 ])
 def test_certificate_parse_errors(text, message):
     with pytest.raises(ValueError, match=message):

@@ -13,6 +13,7 @@ from scaledim import (FEASIBLE, INFEASIBLE, UNKNOWN, FiniteMetricSpace,
                       oracle_check, random_metric_space, relabel, scale,
                       ScaledCover, shrink_to_partition, subspace,
                       validate_cover, wedge, wedge_truncation)
+from scaledim.spacespec import build_space, parse_spec
 
 
 def exact_dim(space, lam, control, **kw):
@@ -252,6 +253,115 @@ def test_dim_at_scale_scans_once(monkeypatch):
     calls.clear()
     assert exact_dim(grid, 2, 8).value == 0
     assert calls == ["lambda_components"]
+
+
+# Search-tree sizes of the degree-ordered search, counted across every
+# candidate n.  The colour classes may change how they find a point's
+# components, but not which points they accept, so these stay fixed.
+@pytest.mark.parametrize("spec, lam, control, budget, status, nodes", [
+    ("circle(60,1)", 1, 2, None, "exact", 75),
+    ("circle(1000,1)", 1, 2, None, "exact", 1250),
+    ("sum(interval(4,1),interval(4,1))", 2, 4, None, "exact", 25154),
+    ("sum(circle(6,1),circle(6,1))", 2, 4, None, "exact", 37605),
+    ("sum(interval(6,1),interval(6,1))", 2, 5, 100_000, "unknown", 100_001),
+])
+def test_search_tree_sizes_are_pinned(spec, lam, control, budget, status,
+                                      nodes):
+    space = build_space(parse_spec(spec))
+    kw = {} if budget is None else {"node_budget": budget}
+    result = dim_at_scale(space, lam, control, **kw)
+    assert (result.status, result.nodes) == (status, nodes)
+
+
+def _class_state(cls):
+    return (cls.owner.copy(), {c: tuple(ms) for c, ms in cls.members.items()},
+            dict(cls.diam))
+
+
+def _check_color_class(rng, space):
+    dists = sorted({int(v) for i in range(space.size)
+                    for v in space.dist_row(i)})
+    lam = rng.choice(dists)
+    control = rng.choice([d for d in dists if d >= lam])
+    cls = solver._ColorClass(space, control)
+    near = solver._Neighbours(space, lam)
+    stack = []
+    for _ in range(2 * space.size):
+        inside = [p for p, _ in stack]
+        outside = [q for q in range(space.size) if q not in inside]
+        if outside and (not stack or rng.random() < 0.7):
+            p = rng.choice(outside)
+            before = _class_state(cls)
+            token = cls.try_insert(p, near(p))
+            fits = lambda_components(
+                space, lam, inside + [p]).max_diameter() <= control
+            assert (token is not None) == fits
+            if token is None:
+                after = _class_state(cls)
+                assert (after[0] == before[0]).all()
+                assert after[1:] == before[1:]
+            else:
+                stack.append((p, token))
+        else:
+            cls.undo(stack.pop()[1])
+        inside = [p for p, _ in stack]
+        want = lambda_components(space, lam, inside)
+        got = {frozenset(ms): cls.diam[c] for c, ms in cls.members.items()}
+        assert got == {frozenset(b): d for b, d in
+                       zip(want.blocks, want.diameters)}
+        for c, ms in cls.members.items():
+            assert (cls.owner[ms] == c).all() and c in ms
+        assert (cls.owner >= 0).sum() == len(inside)
+
+
+def test_color_class_tracks_components(random_wedge):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1),
+                      kind=st.sampled_from(["random", "grid", "wedge"]))
+    def check(seed, kind):
+        rng = random.Random(seed)
+        if kind == "random":
+            space = random_metric_space(rng.randint(1, 12), rng)
+        elif kind == "grid":
+            space = l1_sum([interval(rng.randint(1, 2), rng.randint(1, 2))
+                            for _ in range(rng.randint(1, 3))])
+        else:
+            space = random_wedge(rng)
+        _check_color_class(rng, space)
+
+    check()
+
+
+def test_neighbour_rows_past_the_limit_are_reread(monkeypatch):
+    # With no room to keep rows, every visit reads its row again: the
+    # search explores the same tree and finds the same cover.
+    cases = [(cyclic_group(60, 1), 1, 2),
+             (l1_sum([interval(4, 1), interval(4, 1)]), 2, 4),
+             (random_metric_space(30, 7), 3, 5)]
+    kept = [dim_at_scale(sp, lam, control) for sp, lam, control in cases]
+    monkeypatch.setattr(solver, "_NEIGHBOUR_LIMIT", 0)
+    for (sp, lam, control), want in zip(cases, kept):
+        got = dim_at_scale(sp, lam, control)
+        assert (got.status, got.value, got.nodes, got.certificate) == \
+            (want.status, want.value, want.nodes, want.certificate)
+        _, near = solver._search_order(sp, lam)
+        assert near.kept == 0
+
+
+def test_large_spaces_read_neighbours_on_visit(monkeypatch):
+    # Above _DEGREE_ORDER_LIMIT no row is read before the search: the
+    # order is the index order and each row is read on first visit.
+    monkeypatch.setattr(solver, "_DEGREE_ORDER_LIMIT", 10)
+    sp = l1_sum([interval(4, 1), interval(4, 1)])
+    order, near = solver._search_order(sp, 2)
+    assert order == list(range(sp.size))
+    assert near.rows == [None] * sp.size
+    result = exact_dim(sp, 2, 4)
+    assert result.value == 2
+    assert validate_cover(sp, dim_le(sp, 2, 4, 2).certificate).ok
 
 
 def test_dim_le_input_validation():
