@@ -33,6 +33,7 @@ import numpy as np
 from .spaces import FiniteMetricSpace, ScalePair
 
 CERTIFICATE_HEADER = "scaled-cover 1"
+MAX_VIOLATIONS = 16  # validate_cover reports at most this many
 
 
 @dataclass(frozen=True)
@@ -135,14 +136,13 @@ def _settled_apart(space: FiniteMetricSpace, c1: np.ndarray, reach: int,
     return int(space.dist_row(int(c1[0]), c2).min()) - reach > lam
 
 
-def validate_cover(space: FiniteMetricSpace, cover: ScaledCover,
-                   *, max_violations: int = 16) -> ValidationReport:
+def validate_cover(space: FiniteMetricSpace, cover: ScaledCover) -> ValidationReport:
     """Check a cover against a space.
 
     Out-of-range point indices and empty clusters (which ScaledCover.of
     refuses) are usage errors and raise ValueError;
     everything else is reported as Violation entries (up to
-    max_violations of them, coverage first, then separation, then
+    MAX_VIOLATIONS of them, coverage first, then separation, then
     diameters).  When ``space.metric_guaranteed``, cluster pairs and
     diameters that one pivot row settles (see the module docstring)
     skip the point-by-point scan; that scan alone produces violations.
@@ -158,7 +158,7 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover,
             covered[pts] = True
     for p in np.flatnonzero(~covered):
         violations.append(Violation("uncovered-point", (int(p),), 0))
-        if len(violations) >= max_violations:
+        if len(violations) >= MAX_VIOLATIONS:
             return ValidationReport(tuple(violations))
 
     for f, arrays in enumerate(families):
@@ -178,7 +178,7 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover,
                     violations.append(Violation(
                         "family-separation", (f, c1, c2, best[1], best[2]),
                         best[0]))
-                    if len(violations) >= max_violations:
+                    if len(violations) >= MAX_VIOLATIONS:
                         return ValidationReport(tuple(violations))
         for c, pts in enumerate(arrays):
             if radii and radii[c][1] <= control:
@@ -192,7 +192,7 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover,
             if worst is not None and worst[0] > control:
                 violations.append(Violation(
                     "cluster-diameter", (f, c, worst[1], worst[2]), worst[0]))
-                if len(violations) >= max_violations:
+                if len(violations) >= MAX_VIOLATIONS:
                     return ValidationReport(tuple(violations))
     return ValidationReport(tuple(violations))
 

@@ -34,8 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .covers import ScaledCover, validate_cover
-from .spaces import (MATRIX_CACHE_LIMIT, FiniteMetricSpace, ScalePair,
-                     l1_blocks, random_metric_space, wedge_points)
+from .spaces import (DEFAULT_PRODUCT_CAP, MATRIX_CACHE_LIMIT, FiniteMetricSpace,
+                     ScalePair, l1_blocks, random_metric_space, wedge_points)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -639,8 +639,7 @@ def oracle_check(*, seed: int = 0, cases: int = 100, size_max: int = 7,
 
 
 def lift_product_cover(spaces: Sequence[FiniteMetricSpace], k: int,
-                       cover_on_k: ScaledCover, *,
-                       size_cap: int = 10**6) -> ScaledCover:
+                       cover_on_k: ScaledCover) -> ScaledCover:
     """Lift a valid cover of factor k (1-based) to the full l1 sum.
 
     Each cluster C of factor k becomes one cluster per choice of the
@@ -677,9 +676,9 @@ def lift_product_cover(spaces: Sequence[FiniteMetricSpace], k: int,
     total = 1
     for sp in spaces:
         total *= sp.size
-    if total > size_cap:
+    if total > DEFAULT_PRODUCT_CAP:
         raise ValueError(f"lifted cover would list {total} points, over the "
-                         f"cap {size_cap}")
+                         f"cap {DEFAULT_PRODUCT_CAP}")
 
     prefix_diam = sum(sp.diameter() for sp in spaces[:k - 1])
     # Leading coordinates arbitrary, trailing ones fixed one by one.

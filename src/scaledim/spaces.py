@@ -23,6 +23,8 @@ MATRIX_CACHE_LIMIT = 2000
 DEFAULT_PRODUCT_CAP = 10**6
 # Exhaustive metric-axiom validation below this size, seeded sampling above.
 EXHAUSTIVE_CHECK_LIMIT = 200
+CHECK_SEED = 0
+CHECK_SAMPLES = 20000
 
 _INT64_SAFE = 2**62
 
@@ -181,54 +183,15 @@ class FiniteMetricSpace:
 # -- validation ------------------------------------------------------------
 
 
-def _triangle_message(i: int, j: int, k: int, dij: int, dik: int, dkj: int) -> str:
-    return (f"triangle inequality violated at ({i},{j},{k}): "
-            f"d({i},{j})={dij} > d({i},{k})+d({k},{j})={dik + dkj}")
+def _triangle_error(i: int, j: int, k: int, dij: int, dik: int, dkj: int) -> MetricError:
+    return MetricError("triangle", (i, j, k),
+                       f"triangle inequality violated at ({i},{j},{k}): "
+                       f"d({i},{j})={dij} > d({i},{k})+d({k},{j})={dik + dkj}")
 
 
-def check_metric(space: FiniteMetricSpace, *, seed: int = 0,
-                 samples: int = 20000) -> None:
-    """Verify the metric axioms by querying the oracle.
-
-    Exhaustive for sizes up to EXHAUSTIVE_CHECK_LIMIT, seeded random
-    sampling above.  Raises MetricError with a witness on failure.
-    """
-    m = space.size
-    exhaustive = m <= EXHAUSTIVE_CHECK_LIMIT
-    rng = random.Random(seed)
-    if exhaustive:
-        pairs = ((i, j) for i in range(m) for j in range(i, m))
-    else:
-        pairs = ((rng.randrange(m), rng.randrange(m)) for _ in range(samples))
-    for i, j in pairs:
-        dij = space.dist(i, j)
-        if i == j:
-            if dij != 0:
-                raise MetricError("identity", (i,), f"d({i},{i})={dij} != 0")
-            continue
-        dji = space.dist(j, i)
-        if dij != dji:
-            raise MetricError("symmetry", (i, j),
-                              f"d({i},{j})={dij} != d({j},{i})={dji}")
-        if dij <= 0:
-            raise MetricError("positivity", (i, j),
-                              f"d({i},{j})={dij} is not positive")
-    if exhaustive:
-        triples = ((i, j, k) for i in range(m) for j in range(m)
-                   for k in range(m))
-    else:
-        triples = ((rng.randrange(m), rng.randrange(m), rng.randrange(m))
-                   for _ in range(samples))
-    for i, j, k in triples:
-        dij = space.dist(i, j)
-        dik = space.dist(i, k)
-        dkj = space.dist(k, j)
-        if dij > dik + dkj:
-            raise MetricError("triangle", (i, j, k),
-                              _triangle_message(i, j, k, dij, dik, dkj))
-
-
-def _validate_matrix(rows: Sequence[Sequence[int]], seed: int = 0) -> None:
+def _int_table(rows: Sequence[Sequence]) -> np.ndarray:
+    """``rows`` as an m x m int64 array, once every entry is a Python int
+    below 2**62 in magnitude: exact, and no sum of two entries wraps."""
     m = len(rows)
     for i, r in enumerate(rows):
         if len(r) != m:
@@ -241,33 +204,71 @@ def _validate_matrix(rows: Sequence[Sequence[int]], seed: int = 0) -> None:
             if abs(v) >= _INT64_SAFE:
                 raise MetricError("magnitude", (i, j),
                                   f"entry ({i},{j}) exceeds the 64-bit range")
+    return np.array(rows, dtype=np.int64).reshape(m, m)
+
+
+def _check_table(mat: np.ndarray) -> None:
+    """Check the metric axioms on a full distance table; raise the first
+    violation in index order: identity at every point, then each pair
+    i < j (symmetry before positivity), then the triangle inequality at
+    every (i, j, k) when there are at most EXHAUSTIVE_CHECK_LIMIT points."""
+    m = len(mat)
+    diag = np.diagonal(mat)
+    if diag.any():
+        i = int(np.flatnonzero(diag)[0])
+        raise MetricError("identity", (i,), f"d({i},{i})={diag[i]} != 0")
+    bad = np.triu((mat != mat.T) | (mat <= 0), 1)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), m)
+        if mat[i, j] != mat[j, i]:
+            raise MetricError("symmetry", (i, j),
+                              f"d({i},{j})={mat[i, j]} != d({j},{i})={mat[j, i]}")
+        raise MetricError("positivity", (i, j),
+                          f"d({i},{j})={mat[i, j]} is not positive")
+    if m > EXHAUSTIVE_CHECK_LIMIT:
+        return
     for i in range(m):
-        if rows[i][i] != 0:
-            raise MetricError("identity", (i,), f"d({i},{i})={rows[i][i]} != 0")
-        for j in range(i + 1, m):
-            if rows[i][j] != rows[j][i]:
-                raise MetricError("symmetry", (i, j),
-                                  f"d({i},{j})={rows[i][j]} != d({j},{i})={rows[j][i]}")
-            if rows[i][j] <= 0:
-                raise MetricError("positivity", (i, j),
-                                  f"d({i},{j})={rows[i][j]} is not positive")
+        # bad[j, k]: d(i,j) > d(i,k) + d(k,j), the table being symmetric.
+        bad = mat[i][:, None] > mat[i] + mat
+        if bad.any():
+            j, k = divmod(int(bad.argmax()), m)
+            raise _triangle_error(i, j, k, mat[i, j], mat[i, k], mat[k, j])
+
+
+def _sample_triangle(space: FiniteMetricSpace, rng: random.Random) -> None:
+    m = space.size
+    for _ in range(CHECK_SAMPLES):
+        i, j, k = (rng.randrange(m) for _ in range(3))
+        dij, dik, dkj = space.dist(i, j), space.dist(i, k), space.dist(k, j)
+        if dij > dik + dkj:
+            raise _triangle_error(i, j, k, dij, dik, dkj)
+
+
+def check_metric(space: FiniteMetricSpace) -> None:
+    """Verify the metric axioms by querying the oracle: the whole table
+    up to EXHAUSTIVE_CHECK_LIMIT points, CHECK_SAMPLES seeded pairs and
+    triples above.  Raises MetricError with a witness on failure."""
+    m = space.size
     if m <= EXHAUSTIVE_CHECK_LIMIT:
-        for i in range(m):
-            for j in range(m):
-                dij = rows[i][j]
-                for k in range(m):
-                    if dij > rows[i][k] + rows[k][j]:
-                        raise MetricError(
-                            "triangle", (i, j, k),
-                            _triangle_message(i, j, k, dij, rows[i][k], rows[k][j]))
-    else:
-        rng = random.Random(seed)
-        for _ in range(20000):
-            i, j, k = (rng.randrange(m) for _ in range(3))
-            if rows[i][j] > rows[i][k] + rows[k][j]:
-                raise MetricError(
-                    "triangle", (i, j, k),
-                    _triangle_message(i, j, k, rows[i][j], rows[i][k], rows[k][j]))
+        _check_table(_int_table([[space.dist(i, j) for j in range(m)]
+                                 for i in range(m)]))
+        return
+    rng = random.Random(CHECK_SEED)
+    for _ in range(CHECK_SAMPLES):
+        i, j = rng.randrange(m), rng.randrange(m)
+        dij = space.dist(i, j)
+        if i == j:
+            if dij != 0:
+                raise MetricError("identity", (i,), f"d({i},{i})={dij} != 0")
+            continue
+        dji = space.dist(j, i)
+        if dij != dji:
+            raise MetricError("symmetry", (i, j),
+                              f"d({i},{j})={dij} != d({j},{i})={dji}")
+        if dij <= 0:
+            raise MetricError("positivity", (i, j),
+                              f"d({i},{j})={dij} is not positive")
+    _sample_triangle(space, rng)
 
 
 # -- constructors ----------------------------------------------------------
@@ -281,15 +282,16 @@ def from_matrix(rows: Sequence[Sequence[int]], *, label: Optional[str] = None,
     positivity, triangle inequality); violations raise MetricError with
     the axiom name and a witness index tuple.
     """
-    rows = [list(r) for r in rows]
-    _validate_matrix(rows)
-    m = len(rows)
-    mat = np.array(rows, dtype=np.int64).reshape(m, m)
+    mat = _int_table([list(r) for r in rows])
+    _check_table(mat)
+    m = len(mat)
     space = FiniteMetricSpace(m, lambda i, j: int(mat[i, j]),
                               basepoint=basepoint,
                               label=label or f"matrix({m})")
     space._matrix = mat
     space._metric = m <= EXHAUSTIVE_CHECK_LIMIT
+    if not space._metric:
+        _sample_triangle(space, random.Random(CHECK_SEED))
     return space
 
 
@@ -303,6 +305,8 @@ def read_matrix_file(path) -> list[list[int]]:
         m = int(tokens[0])
     except ValueError:
         raise ValueError(f"{path}: first token {tokens[0]!r} is not a size") from None
+    if m < 0:
+        raise ValueError(f"{path}: negative size {m}")
     body = tokens[1:]
     if len(body) != m * m:
         raise ValueError(f"{path}: expected {m * m} entries for size {m}, "
@@ -649,16 +653,10 @@ def random_metric_space(n_points: int, rng, *, max_entry: int = 9,
     for i in range(n_points):
         for j in range(i + 1, n_points):
             d[i][j] = d[j][i] = rng.randint(1, max_entry)
-    for k in range(n_points):
-        dk = d[k]
-        for i in range(n_points):
-            dik = d[i][k]
-            di = d[i]
-            for j in range(n_points):
-                alt = dik + dk[j]
-                if alt < di[j]:
-                    di[j] = alt
+    d = np.array(d, dtype=np.int64)
+    for k in range(n_points):  # Floyd-Warshall, one min-plus step per k
+        np.minimum(d, d[:, k, None] + d[k], out=d)
     # A shortest-path closure is a metric however many points it has.
-    space = from_matrix(d, label=label or f"random({n_points})")
+    space = from_matrix(d.tolist(), label=label or f"random({n_points})")
     space._metric = True
     return space

@@ -32,6 +32,17 @@ def test_build_check_runs_axioms(capsys):
     assert "metric-axioms: ok" in out
 
 
+def test_matrix_with_negative_size_exits_2(capsys, tmp_path):
+    path = tmp_path / "neg.txt"
+    path.write_text("-2\n0 1 1 0\n")
+    for argv in (["build"], ["dim", "--lambda", "1", "--control", "1",
+                             "--certificate", str(tmp_path / "c.txt")]):
+        code, out, err = run(capsys, argv[0], f'matrix("{path}")', *argv[1:])
+        assert code == 2
+        assert "negative size -2" in err
+        assert "dim:" not in out
+
+
 def test_bad_spec_exits_2(capsys):
     code, out, err = run(capsys, "build", "circle(2,1)")
     assert code == 2

@@ -261,3 +261,79 @@ def test_check_metric_catches_broken_oracle():
     bad = FiniteMetricSpace(3, lambda i, j: 0 if i == j else i + 2 * j)
     with pytest.raises(MetricError):
         check_metric(bad)
+
+
+def _floyd_warshall(n, seed):
+    # The draws of random_metric_space, closed by the plain triple loop.
+    rng = random.Random(seed)
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(1, 9)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 3), (7, 5), (16, 11),
+                                     (40, 1), (60, 6)])
+def test_random_metric_space_is_the_shortest_path_closure(n, seed):
+    assert random_metric_space(n, seed).densify().tolist() == _floyd_warshall(n, seed)
+
+
+def _with_triangle_fault_at_the_end():
+    # All distances 2, but d(198,199) = 3 > d(198,197) + d(197,199) = 2.
+    rows = [[0 if i == j else 2 for j in range(200)] for i in range(200)]
+    for i, j, v in ((197, 198, 1), (197, 199, 1), (198, 199, 3)):
+        rows[i][j] = rows[j][i] = v
+    return rows
+
+
+@pytest.mark.parametrize("rows, axiom, witness", [
+    ([[0, 1], [1, 1]], "identity", (1,)),
+    ([[0, 1], [2, 0]], "symmetry", (0, 1)),
+    ([[0, 0], [0, 0]], "positivity", (0, 1)),
+    ([[0, 5, 1], [5, 0, 1], [1, 1, 0]], "triangle", (0, 1, 2)),
+    # an identity fault is reported before an asymmetric pair in an
+    # earlier row
+    ([[0, 1, 2], [3, 0, 1], [2, 1, 4]], "identity", (2,)),
+    # symmetry and positivity faults at different pairs: the first pair
+    # in row order wins
+    ([[0, 1, 0], [1, 0, 2], [0, 3, 0]], "positivity", (0, 2)),
+    ([[0, 3, 1], [2, 0, 0], [1, 0, 0]], "symmetry", (0, 1)),
+    # two triangle faults, d(1,2) and d(0,3): the least (i, j, k) wins
+    ([[0, 2, 2, 5], [2, 0, 5, 2], [2, 5, 0, 2], [5, 2, 2, 0]],
+     "triangle", (0, 3, 1)),
+    (_with_triangle_fault_at_the_end(), "triangle", (198, 199, 197)),
+], ids=["identity", "symmetry", "positivity", "triangle",
+        "identity-before-symmetry", "positivity-first", "symmetry-first",
+        "two-triangles", "200-points-last-fault"])
+def test_matrix_and_oracle_report_the_same_fault(rows, axiom, witness):
+    with pytest.raises(MetricError) as from_rows:
+        from_matrix(rows)
+    oracle = FiniteMetricSpace(len(rows), lambda i, j: rows[i][j])
+    with pytest.raises(MetricError) as from_oracle:
+        check_metric(oracle)
+    for err in (from_rows.value, from_oracle.value):
+        assert (err.axiom, err.witness) == (axiom, witness)
+    assert str(from_rows.value) == str(from_oracle.value)
+
+
+@pytest.mark.parametrize("value, axiom", [(1.5, "integrality"),
+                                          (2**62, "magnitude")])
+def test_check_metric_rejects_entries_it_cannot_hold_exactly(value, axiom):
+    bad = FiniteMetricSpace(3, lambda i, j: 0 if i == j else value)
+    with pytest.raises(MetricError) as err:
+        check_metric(bad)
+    assert (err.value.axiom, err.value.witness) == (axiom, (0, 1))
+
+
+def test_matrix_file_with_negative_size_is_refused(tmp_path):
+    path = tmp_path / "neg.txt"
+    path.write_text("-2\n0 1 1 0\n")
+    with pytest.raises(ValueError, match="neg.txt: negative size -2"):
+        read_matrix_file(path)
+    (tmp_path / "empty.txt").write_text("0\n")
+    assert read_matrix_file(tmp_path / "empty.txt") == []
