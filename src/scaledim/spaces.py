@@ -70,8 +70,8 @@ class FiniteMetricSpace:
     exhaustively.  A space built directly from an oracle is False.
     """
 
-    __slots__ = ("size", "basepoint", "label", "_oracle", "_rows", "_matrix",
-                 "_diam", "_minpos", "_structure", "_metric")
+    __slots__ = ("size", "basepoint", "label", "_oracle", "_rows", "_blocks",
+                 "_matrix", "_diam", "_minpos", "_structure", "_metric")
 
     def __init__(self, size: int, oracle: Callable[[int, int], int], *,
                  basepoint: Optional[int] = None, label: str = "space",
@@ -87,6 +87,7 @@ class FiniteMetricSpace:
         self.label = label
         self._oracle = oracle
         self._rows = rows
+        self._blocks: Optional[Callable] = None
         self._matrix: Optional[np.ndarray] = None
         self._diam = diameter_hint
         self._minpos = min_positive_hint
@@ -123,6 +124,20 @@ class FiniteMetricSpace:
             targets = range(self.size)
         oracle = self._oracle
         return np.fromiter((oracle(i, j) for j in targets), dtype=np.int64)
+
+    def dist_block(self, rows, cols) -> np.ndarray:
+        """Distances from each point of ``rows`` to each point of ``cols``,
+        as a len(rows) x len(cols) int64 array."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        if self._matrix is not None:
+            return self._matrix[np.ix_(rows, cols)]
+        if self._blocks is not None:
+            return self._blocks(rows, cols)
+        out = np.empty((len(rows), len(cols)), dtype=np.int64)
+        for k, i in enumerate(rows):
+            out[k] = self.dist_row(int(i), cols)
+        return out
 
     def has_fast_rows(self) -> bool:
         return self._rows is not None or self._matrix is not None
@@ -285,13 +300,20 @@ def from_matrix(rows: Sequence[Sequence[int]], *, label: Optional[str] = None,
     mat = _int_table([list(r) for r in rows])
     _check_table(mat)
     m = len(mat)
-    space = FiniteMetricSpace(m, lambda i, j: int(mat[i, j]),
-                              basepoint=basepoint,
-                              label=label or f"matrix({m})")
-    space._matrix = mat
-    space._metric = m <= EXHAUSTIVE_CHECK_LIMIT
-    if not space._metric:
+    space = _matrix_space(mat, label or f"matrix({m})", basepoint,
+                          metric=m <= EXHAUSTIVE_CHECK_LIMIT)
+    if not space.metric_guaranteed:
         _sample_triangle(space, random.Random(CHECK_SEED))
+    return space
+
+
+def _matrix_space(mat: np.ndarray, label: str, basepoint: Optional[int], *,
+                  metric: bool) -> FiniteMetricSpace:
+    """A space served by a checked int64 distance table."""
+    space = FiniteMetricSpace(len(mat), lambda i, j: int(mat[i, j]),
+                              basepoint=basepoint, label=label)
+    space._matrix = mat
+    space._metric = metric
     return space
 
 
@@ -520,12 +542,12 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
             y //= s
         return total_d
 
-    rows = None
+    rows = blocks = None
     if all(s <= MATRIX_CACHE_LIMIT for s in sizes):
         mats = [sp.densify() for sp in spaces]
         state: dict = {}
 
-        def rows(i, targets):  # vectorised row kernel over the digit table
+        def digits(points):  # the digit table, built on first use
             digs = state.get("digits")
             if digs is None:
                 digs = np.empty((total, nfac), dtype=np.int64)
@@ -534,11 +556,23 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
                     digs[:, f] = vals % s
                     vals //= s
                 state["digits"] = digs
-            sub = digs if targets is None else digs[np.asarray(targets, dtype=np.intp)]
+            return digs if points is None else digs[np.asarray(points, dtype=np.intp)]
+
+        def rows(i, targets):  # vectorised row kernel over the digit table
+            sub = digits(targets)
             out = np.zeros(sub.shape[0], dtype=np.int64)
             for f, s in enumerate(sizes):
                 i, r = divmod(i, s)
                 out += mats[f][r][sub[:, f]]
+            return out
+
+        def blocks(I, J):
+            # Gather each factor's columns once, then whole rows of the
+            # gathered table: about 3x faster than one np.ix_ gather.
+            dI, dJ = digits(I), digits(J)
+            out = np.zeros((len(I), len(J)), dtype=np.int64)
+            for f, mat in enumerate(mats):
+                out += mat[:, dJ[:, f]][dI[:, f]]
             return out
 
     base = l1_blocks(spaces, [[[sp.basepoint]] for sp in spaces])[0][0]
@@ -550,6 +584,7 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
         total, oracle, basepoint=base,
         label=label or "sum(" + ",".join(sp.label for sp in spaces) + ")",
         rows=rows, diameter_hint=diam, min_positive_hint=minpos)
+    space._blocks = blocks
     space._structure = ("sum", tuple(spaces))
     space._metric = all(sp.metric_guaranteed for sp in spaces)
     return space
@@ -649,14 +684,15 @@ def random_metric_space(n_points: int, rng, *, max_entry: int = 9,
         rng = random.Random(rng)
     if n_points < 1:
         raise ValueError("random_metric_space needs at least one point")
-    d = [[0] * n_points for _ in range(n_points)]
-    for i in range(n_points):
-        for j in range(i + 1, n_points):
-            d[i][j] = d[j][i] = rng.randint(1, max_entry)
-    d = np.array(d, dtype=np.int64)
+    if max_entry * n_points >= _INT64_SAFE:
+        raise ValueError("random_metric_space distances could exceed the "
+                         "64-bit range")
+    d = np.zeros((n_points, n_points), dtype=np.int64)
+    upper = np.triu_indices(n_points, 1)  # row by row, as i < j loops
+    d[upper] = [rng.randrange(1, max_entry + 1) for _ in range(len(upper[0]))]
+    d += d.T
     for k in range(n_points):  # Floyd-Warshall, one min-plus step per k
         np.minimum(d, d[:, k, None] + d[k], out=d)
+    _check_table(d)
     # A shortest-path closure is a metric however many points it has.
-    space = from_matrix(d.tolist(), label=label or f"random({n_points})")
-    space._metric = True
-    return space
+    return _matrix_space(d, label or f"random({n_points})", None, metric=True)

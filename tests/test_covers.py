@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from scaledim import (Certificate, FiniteMetricSpace, ScaledCover, ScalePair,
-                      Violation, cyclic_group, dim_at_scale,
+                      ValidationReport, Violation, covers, cyclic_group,
+                      dim_at_scale,
                       format_certificate, from_matrix, interval, l1_sum,
                       parse_certificate, random_metric_space,
                       read_certificate, relabel, scale, shrink_to_partition,
@@ -197,7 +198,7 @@ def test_metric_guaranteed_by_constructor():
 
 def _exact_copy(space):
     """The same distances, served from a table, with no metric
-    guarantee: validated point by point."""
+    guarantee: validated with nothing pruned."""
     table = np.stack([space.dist_row(i) for i in range(space.size)])
 
     def rows(i, targets):
@@ -273,3 +274,90 @@ def test_pruned_reports_equal_exact_on_random_covers():
             validate_cover(_exact_copy(space), cover)
 
     check()
+
+
+# -- block scans -------------------------------------------------------------
+
+
+def _reference_report(space, cover):
+    """validate_cover's report from a plain scan: one full row per point,
+    nothing pruned, the first extreme pair in (p, q) order kept."""
+    lam, control = cover.scale.lam, cover.scale.control
+    found = [Violation("uncovered-point", (p,), 0) for p in range(space.size)
+             if not any(p in cl for fam in cover.families for cl in fam)]
+    for f, fam in enumerate(cover.families):
+        fam = [np.array(sorted(cl)) for cl in fam]
+        nearest = {}  # (c1, c2): (d, p, q) at the least d(p, q)
+        widest = {}  # c: (d, p, q) at the largest d(p, q)
+        for c1, cl in enumerate(fam):
+            for p in cl:
+                row = space.dist_row(int(p))
+                for c2 in range(c1 + 1, len(fam)):
+                    q = int(fam[c2][row[fam[c2]].argmin()])
+                    if (c1, c2) not in nearest or row[q] < nearest[c1, c2][0]:
+                        nearest[c1, c2] = (int(row[q]), int(p), q)
+                q = int(cl[row[cl].argmax()])
+                if c1 not in widest or row[q] > widest[c1][0]:
+                    widest[c1] = (int(row[q]), int(p), q)
+        for (c1, c2), (d, p, q) in sorted(nearest.items()):
+            if d <= lam:
+                found.append(Violation("family-separation", (f, c1, c2, p, q), d))
+        for c, (d, p, q) in sorted(widest.items()):
+            if d > control:
+                found.append(Violation("cluster-diameter", (f, c, p, q), d))
+    return ValidationReport(tuple(found[:covers.MAX_VIOLATIONS]))
+
+
+def _corruptions(cover, seed):
+    """Two seeded single-point moves, the first two clusters of the first
+    family merged, a tighter control and a larger lam."""
+    lam, control = cover.scale.lam, cover.scale.control
+    rng = random.Random(seed)
+    first = list(cover.families[0])
+    merged = [[first[0] | first[1]] + first[2:]] + list(cover.families[1:])
+    return [_move_one_point(cover, rng), _move_one_point(cover, rng),
+            ScaledCover.of(lam, control, merged),
+            ScaledCover.of(lam, control // 4, cover.families),
+            ScaledCover.of(2 * lam, control, cover.families)]
+
+
+@pytest.mark.parametrize("spec, lam, control", [
+    ("sum(circle(3,1),circle(9,2),circle(27,10),circle(9,140))", 139, 278),
+    ("sum(circle(3,1),circle(9,2),circle(27,10),circle(6,140))", 139, 278),
+    ("sum(circle(3,1),circle(9,2),circle(27,10),circle(4,140))", 139, 278),
+    ("sum(circle(9,2),circle(27,10),circle(9,140))", 139, 278),
+    ("group(3,3)", 9, 18),
+])
+def test_block_scan_equals_reference_scan(spec, lam, control, monkeypatch):
+    space = build_space(parse_spec(spec))
+    cover = dim_at_scale(space, lam, control).certificate
+    cases = [cover] + _corruptions(cover, spec)
+    expected = [_reference_report(space, cv) for cv in cases]
+    assert expected[0].ok and sum(not r.ok for r in expected) >= 4
+    # Blocks of whole clusters; of about a third of the largest cluster,
+    # which leaves a shorter last block; of one row, which reads a row
+    # per point and so runs on the smaller spaces only.
+    largest = max(len(cl) for fam in cover.families for cl in fam)
+    block_sizes = [covers._BLOCK_ELEMS, largest * (largest // 3 + 1)]
+    if space.size <= 2187:
+        block_sizes.append(1)
+    for elems in block_sizes:
+        monkeypatch.setattr(covers, "_BLOCK_ELEMS", elems)
+        assert [validate_cover(space, cv) for cv in cases] == expected
+
+
+@pytest.mark.parametrize("elems", [1, 2, covers._BLOCK_ELEMS])
+def test_block_scan_reports_the_first_of_tied_extremes(elems, monkeypatch):
+    monkeypatch.setattr(covers, "_BLOCK_ELEMS", elems)
+    circle = cyclic_group(8, 1)
+    # d(0,6) = d(1,3) = 2 is the least distance between the clusters; with
+    # one row per block, the two pairs lie in different blocks.
+    apart = validate_cover(circle, ScaledCover.of(
+        2, 8, [[[0, 1], [3, 4, 5, 6]], [[2], [7]]]))
+    assert apart.violations[0] == Violation("family-separation",
+                                            (0, 0, 1, 0, 6), 2)
+    # d(0,4) = d(1,5) = 4 is the diameter of {0, 1, 4, 5}.
+    wide = validate_cover(circle, ScaledCover.of(
+        1, 3, [[[0, 1, 4, 5]], [[2, 3, 6, 7]]]))
+    assert wide.violations[0] == Violation("cluster-diameter",
+                                           (0, 0, 0, 4), 4)

@@ -337,3 +337,69 @@ def test_matrix_file_with_negative_size_is_refused(tmp_path):
         read_matrix_file(path)
     (tmp_path / "empty.txt").write_text("0\n")
     assert read_matrix_file(tmp_path / "empty.txt") == []
+
+
+def _small_sum():
+    return l1_sum([cyclic_group(3, 1), interval(2, 2), cyclic_group(4, 3)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: interval(6, 3),
+    lambda: cyclic_group(7, 2),
+    lambda: from_matrix([[0, 2, 3, 1], [2, 0, 1, 3], [3, 1, 0, 2],
+                         [1, 3, 2, 0]]),
+    lambda: FiniteMetricSpace(6, lambda i, j: 2 * abs(i - j) + (i != j)),
+    _small_sum,
+    lambda: subspace(_small_sum(), [0, 3, 4, 9, 17, 20, 35]),
+    lambda: scale(_small_sum(), 3),
+    lambda: relabel(_small_sum(), random.Random(4).sample(range(36), 36)),
+    lambda: wedge([cyclic_group(5, 1), _small_sum(), interval(2, 4)]),
+], ids=["interval", "circle", "matrix", "oracle", "sum", "sub-of-sum",
+        "scale-of-sum", "relabel-of-sum", "wedge-with-sum-arm"])
+def test_dist_block_equals_stacked_rows(make):
+    sp = make()
+    rng = random.Random(sp.label)
+    everything = list(range(sp.size))
+    picks = [rng.choices(everything, k=rng.randint(1, sp.size))
+             for _ in range(3)]
+    for rows in [everything, []] + picks:
+        for cols in [everything, []] + picks:
+            block = sp.dist_block(rows, cols)
+            assert block.dtype == np.int64
+            assert block.shape == (len(rows), len(cols))
+            for k, i in enumerate(rows):
+                assert block[k].tolist() == sp.dist_row(i, cols).tolist()
+
+
+def test_sum_blocks_read_no_rows(monkeypatch):
+    # A sum serves blocks from its factors' matrices, not row by row.
+    sp = _small_sum()
+    expected = np.stack([sp.dist_row(i) for i in range(sp.size)])
+
+    def no_rows(*args):
+        raise AssertionError("dist_row called")
+
+    monkeypatch.setattr(FiniteMetricSpace, "dist_row", no_rows)
+    pts = [5, 0, 35, 17, 17]
+    assert (sp.dist_block(pts, range(sp.size)) == expected[pts]).all()
+
+
+@pytest.mark.parametrize("seed, n, max_entry, matrix", [
+    (0, 4, 9, [[0, 7, 7, 1], [7, 0, 5, 8], [7, 5, 0, 8], [1, 8, 8, 0]]),
+    (1, 5, 9, [[0, 3, 2, 4, 2], [3, 0, 5, 7, 5], [2, 5, 0, 6, 4],
+               [4, 7, 6, 0, 2], [2, 5, 4, 2, 0]]),
+    (2, 6, 30, [[0, 9, 21, 2, 3, 3], [9, 0, 12, 11, 6, 12],
+                [21, 12, 0, 23, 18, 24], [2, 11, 23, 0, 5, 5],
+                [3, 6, 18, 5, 0, 6], [3, 12, 24, 5, 6, 0]]),
+    (3, 1, 9, [[0]]),
+])
+def test_random_metric_space_matrices_are_pinned(seed, n, max_entry, matrix):
+    sp = random_metric_space(n, seed, max_entry=max_entry)
+    assert sp.densify().tolist() == matrix
+    assert sp.label == f"random({n})"
+    assert sp.metric_guaranteed
+
+
+def test_random_metric_space_refuses_entries_past_the_64_bit_range():
+    with pytest.raises(ValueError, match="64-bit"):
+        random_metric_space(4, 0, max_entry=2**61)
