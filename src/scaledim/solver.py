@@ -165,7 +165,8 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
         if space.size == 0:
             return ComponentPartition((), ())
         # Known-discrete spaces split into singletons without any BFS.
-        if space._minpos is not None and space._minpos > lam:
+        minpos = space.known_min_positive
+        if minpos is not None and minpos > lam:
             return ComponentPartition(
                 tuple((i,) for i in range(space.size)),
                 (0,) * space.size)

@@ -4,8 +4,8 @@ Grammar, one expression per spec:
 
     interval(k,a)        discrete interval, k steps of length a
     circle(m,a)          cyclic group Z_m, edge length a
-    group(p,N)           l1 sum of the first N scheduled circles
-    wedgegroup(p,N)      wedge of the first N scheduled circles
+    group(p,N)           l1 sum of the first N scheduled circles, p >= 3
+    wedgegroup(p,N)      wedge of the first N scheduled circles, p >= 3
     wedge(e,...)         wedge of the factor expressions
     sum(e,...)           l1 direct sum of the factor expressions
     sub(e,[i,...])       subspace on the listed point indices
@@ -117,9 +117,9 @@ _GRAMMAR = {
     "interval": (("int", "int"), {0: _positive("k"), 1: _positive("a")}),
     "circle": (("int", "int"), {0: ("m >= 3", lambda v: v >= 3),
                                 1: _positive("a")}),
-    "group": (("int", "int"), {0: ("p >= 2", lambda v: v >= 2),
+    "group": (("int", "int"), {0: ("p >= 3", lambda v: v >= 3),
                                1: _positive("N")}),
-    "wedgegroup": (("int", "int"), {0: ("p >= 2", lambda v: v >= 2),
+    "wedgegroup": (("int", "int"), {0: ("p >= 3", lambda v: v >= 3),
                                     1: _positive("N")}),
     "wedge": (("expr+",), {}),
     "sum": (("expr+",), {}),

@@ -24,7 +24,7 @@ def _dense_arm(rng):
 
 
 def _oracle_arm(rng):
-    # An arm with no row kernel: every row goes through its oracle.
+    # An arm with no block kernel: every row goes through its oracle.
     k, a = rng.randint(2, 4), rng.randint(1, 3)
     return FiniteMetricSpace(k, lambda i, j: a * abs(i - j),
                              basepoint=rng.randrange(k), label="oracle")

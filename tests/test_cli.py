@@ -50,6 +50,16 @@ def test_bad_spec_exits_2(capsys):
     assert "m >= 3" in err
 
 
+@pytest.mark.parametrize("spec", ["group(2,64)", "wedgegroup(2,30)"])
+def test_group_with_p_2_is_a_parse_error(capsys, spec):
+    name = spec.split("(")[0]
+    code, out, err = run(capsys, "build", spec)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: line 1, column 1: {name} argument 1 out of "
+                   f"range: needs p >= 3, got 2\n")
+
+
 def test_dim_writes_certificate_and_verify_accepts_it(capsys, tmp_path):
     cert = tmp_path / "c.txt"
     code, out, _ = run(capsys, "dim", "interval(3,1)", "--lambda", "1",

@@ -201,10 +201,10 @@ def _exact_copy(space):
     guarantee: validated with nothing pruned."""
     table = np.stack([space.dist_row(i) for i in range(space.size)])
 
-    def rows(i, targets):
-        return table[i] if targets is None else table[i, targets]
+    def blocks(I, J):
+        return table[I] if J is None else table[np.ix_(I, J)]
 
-    return FiniteMetricSpace(space.size, space.dist, rows=rows)
+    return FiniteMetricSpace(space.size, space.dist, blocks=blocks)
 
 
 def _move_one_point(cover, rng):

@@ -50,7 +50,7 @@ def test_components_product_path_matches_generic():
         slow = lambda_components(s, lam, range(s.size))  # plain BFS
         assert fast.blocks == slow.blocks, lam
         assert fast.diameters == slow.diameters, lam
-    # 2187 points, above MATRIX_CACHE_LIMIT: the BFS runs on the row kernel
+    # 2187 points, above MATRIX_CACHE_LIMIT: the BFS runs on the block kernel
     big = l1_sum([cyclic_group(3, 1), cyclic_group(27, 2),
                   cyclic_group(27, 10)])
     assert big.size == 2187
@@ -79,7 +79,7 @@ def test_components_product_path_matches_generic():
 def test_components_wedge_path_matches_generic(random_wedge):
     for seed in range(8):
         w = random_wedge(random.Random(100 + seed))
-        # The same metric with no structure, no hints and no row kernel:
+        # The same metric with no structure, no hints and no block kernel:
         # the plain BFS and diameter sweep over the scalar oracle.
         plain = FiniteMetricSpace(w.size, w.dist)
         dists = {int(v) for i in range(w.size) for v in w.dist_row(i)}

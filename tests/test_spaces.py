@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from scaledim import spaces
 from scaledim import (FiniteMetricSpace, MetricError, ScalePair, check_metric,
                       cyclic_group, from_matrix, interval, l1_sum,
                       random_metric_space, read_matrix_file, relabel, scale,
@@ -343,6 +344,15 @@ def _small_sum():
     return l1_sum([cyclic_group(3, 1), interval(2, 2), cyclic_group(4, 3)])
 
 
+def _small_wedge():
+    return wedge([cyclic_group(5, 1), _small_sum(), interval(2, 4)])
+
+
+def _oracle_table(sp):
+    return np.array([[sp.dist(i, j) for j in range(sp.size)]
+                     for i in range(sp.size)], dtype=np.int64)
+
+
 @pytest.mark.parametrize("make", [
     lambda: interval(6, 3),
     lambda: cyclic_group(7, 2),
@@ -353,35 +363,91 @@ def _small_sum():
     lambda: subspace(_small_sum(), [0, 3, 4, 9, 17, 20, 35]),
     lambda: scale(_small_sum(), 3),
     lambda: relabel(_small_sum(), random.Random(4).sample(range(36), 36)),
-    lambda: wedge([cyclic_group(5, 1), _small_sum(), interval(2, 4)]),
+    _small_wedge,
+    lambda: subspace(_small_wedge(), [0, 2, 5, 6, 13, 30, 40, 41]),
+    lambda: scale(_small_wedge(), 2),
+    lambda: relabel(_small_wedge(), random.Random(5).sample(range(42), 42)),
+    lambda: wedge([_small_wedge(), cyclic_group(4, 3), _small_sum()]),
 ], ids=["interval", "circle", "matrix", "oracle", "sum", "sub-of-sum",
-        "scale-of-sum", "relabel-of-sum", "wedge-with-sum-arm"])
+        "scale-of-sum", "relabel-of-sum", "wedge-with-sum-arm",
+        "sub-of-wedge", "scale-of-wedge", "relabel-of-wedge", "nested-wedge"])
 def test_dist_block_equals_stacked_rows(make):
+    # dist_row is one row of the block kernel, so the scalar oracle,
+    # which no kernel serves, is the reference for both.
     sp = make()
+    truth = _oracle_table(sp)
     rng = random.Random(sp.label)
     everything = list(range(sp.size))
     picks = [rng.choices(everything, k=rng.randint(1, sp.size))
              for _ in range(3)]
     for rows in [everything, []] + picks:
-        for cols in [everything, []] + picks:
+        for cols in [None, everything, []] + picks:
             block = sp.dist_block(rows, cols)
+            want = truth[rows][:, everything if cols is None else cols]
             assert block.dtype == np.int64
-            assert block.shape == (len(rows), len(cols))
+            assert block.shape == want.shape
+            assert block.tolist() == want.tolist()
             for k, i in enumerate(rows):
                 assert block[k].tolist() == sp.dist_row(i, cols).tolist()
 
 
 def test_sum_blocks_read_no_rows(monkeypatch):
-    # A sum serves blocks from its factors' matrices, not row by row.
-    sp = _small_sum()
-    expected = np.stack([sp.dist_row(i) for i in range(sp.size)])
+    # A sum serves blocks from its factors' matrices, and the spaces
+    # built on one forward blocks to it, not row by row.
+    makers = [_small_sum,
+              lambda: subspace(_small_sum(), [0, 3, 4, 9, 17, 20, 35]),
+              lambda: scale(_small_sum(), 3),
+              lambda: relabel(_small_sum(),
+                              random.Random(4).sample(range(36), 36)),
+              _small_wedge]
+    built = [(make(), make()) for make in makers]
+    truths = [_oracle_table(sp) for sp, _ in built]
 
     def no_rows(*args):
         raise AssertionError("dist_row called")
 
     monkeypatch.setattr(FiniteMetricSpace, "dist_row", no_rows)
-    pts = [5, 0, 35, 17, 17]
-    assert (sp.dist_block(pts, range(sp.size)) == expected[pts]).all()
+    for (sp, fresh), truth in zip(built, truths):
+        pts = [5, 0, sp.size - 1, 4, 4]
+        assert (sp.dist_block(pts, range(sp.size)) == truth[pts]).all()
+        assert (sp.dist_block(pts) == truth[pts]).all()
+        assert (fresh.densify() == truth).all(), fresh.label
+
+
+@pytest.mark.parametrize("scan_elems", [1, 50, 2**14])
+@pytest.mark.parametrize("make", [
+    _small_sum,
+    _small_wedge,
+    lambda: scale(_small_sum(), 2),
+    lambda: random_metric_space(12, 3),
+    lambda: FiniteMetricSpace(9, lambda i, j: 2 * abs(i - j) + (i != j)),
+], ids=["sum", "wedge", "scale-of-sum", "matrix", "oracle"])
+def test_whole_space_scans_of_a_hintless_subspace(make, scan_elems,
+                                                  monkeypatch):
+    # A subspace has no hints, so densify, diameter and the least
+    # positive distance all scan it, in row blocks of scan_elems
+    # entries.  Plain sweeps of the oracle are the reference.
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", scan_elems)
+    pts = sorted(random.Random(scan_elems).sample(range(make().size), 7))
+    truth = _oracle_table(subspace(make(), pts))
+    off = truth[~np.eye(len(pts), dtype=bool)]
+    assert subspace(make(), pts).densify().tolist() == truth.tolist()
+    assert subspace(make(), pts).diameter() == int(truth.max())
+    sub = subspace(make(), pts)
+    assert sub.known_min_positive is None
+    assert sub.min_positive_distance() == int(off.min())
+    assert sub.known_min_positive == int(off.min())
+
+
+def test_known_min_positive_is_the_hint_or_the_memo():
+    assert cyclic_group(7, 2).known_min_positive == 2
+    assert wedge([interval(2, 3), cyclic_group(4, 5)]).known_min_positive == 3
+    sp = subspace(interval(9, 2), [1, 4, 6])
+    assert sp.known_min_positive is None
+    assert sp.min_positive_distance() == 4
+    assert sp.known_min_positive == 4
+    with pytest.raises(AttributeError):
+        sp.known_min_positive = 1
 
 
 @pytest.mark.parametrize("seed, n, max_entry, matrix", [

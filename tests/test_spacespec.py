@@ -115,6 +115,17 @@ def test_range_errors():
     assert "a >= 1" in str(e)
 
 
+@pytest.mark.parametrize("text, col", [("group(2,64)", 1),
+                                       ("wedgegroup(2,30)", 1),
+                                       ("sum(circle(3,1),group(2,2))", 17)])
+def test_group_needs_p_at_least_3(text, col):
+    # A 2-point circle is not a cyclic_group, so p = 2 is refused at
+    # parse time, not by the constructor it would call.
+    e = err(text)
+    assert "group argument 1 out of range: needs p >= 3, got 2" in str(e)
+    assert (e.line, e.col) == (1, col)
+
+
 def test_unknown_constructor_lists_alternatives():
     e = err("ball(3)")
     assert "unknown constructor" in str(e)
