@@ -151,6 +151,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    _check_range("--lambda", args.lam, args.lam >= 0, "nonnegative")
+    _check_range("--control", args.control, args.control >= 0, "nonnegative")
     _check_range("--max-n", args.max_n,
                  args.max_n is None or args.max_n >= 0, "nonnegative")
     spec = parse_spec(args.spec)
@@ -197,6 +199,7 @@ def _schedule_lambdas(space) -> list[int]:
 
 
 def _cmd_profile(args) -> int:
+    _check_range("--c", args.c, args.c >= 1, "positive")
     _check_range("--cap", args.cap, args.cap >= 0, "nonnegative")
     spec = parse_spec(args.spec)
     if args.lambda_list is not None:
@@ -270,6 +273,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    _check_range("--p", args.p, args.p >= 2, "at least 2")
+    _check_range("--N", args.N, args.N >= 1, "positive")
     schedule = weight_schedule(args.p, args.N, args.mode)
     text = schedule_csv(schedule)
     sys.stdout.write(text)

@@ -19,7 +19,7 @@ so C is more than lam from C' when min d(p, C') - max d(p, C) > lam,
 and C is within the control when the two largest entries of d(p, C) sum
 to at most it.  Whatever these bounds leave open, and everything on
 hand-built oracles and matrices too large to check exhaustively, is
-scanned exhaustively, block by block (``dist_block``); only that scan
+scanned exhaustively, block by block (``row_blocks``); only that scan
 reports violations, and it keeps the first extreme pair in point order
 whatever the blocks, so a report does not depend on which pairs the
 bounds settled.
@@ -36,10 +36,6 @@ from .spaces import FiniteMetricSpace, ScalePair
 
 CERTIFICATE_HEADER = "scaled-cover 1"
 MAX_VIOLATIONS = 16  # validate_cover reports at most this many
-# Distances a scan reads per block.  On the certify benchmark (2-vCPU
-# VM) the peak RSS was 36.5 MB with 2**14, 42.2 MB with 2**18 and
-# 36.1 MB with one row per point.
-_BLOCK_ELEMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -146,12 +142,9 @@ def _first_extreme(space: FiniteMetricSpace, rows: np.ndarray,
                    cols: np.ndarray, *, largest: bool) -> tuple[int, int, int]:
     """The least (or largest) d(p, q) over p in rows and q in cols, as
     (value, p, q) with (p, q) the first pair in (p, q) order to reach
-    it.  Reads the distances in blocks of whole rows, _BLOCK_ELEMS
-    entries at most (one row at least)."""
-    step = max(1, _BLOCK_ELEMS // len(cols))
+    it."""
     best = None
-    for start in range(0, len(rows), step):
-        block = space.dist_block(rows[start:start + step], cols)
+    for start, block in space.row_blocks(rows, cols):
         k = int(block.argmax() if largest else block.argmin())
         value = int(block.flat[k])
         # Only a strictly better value replaces an earlier block's.

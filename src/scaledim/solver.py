@@ -65,12 +65,7 @@ def _exact_diameter(space: FiniteMetricSpace, members: Sequence[int]) -> int:
     if len(members) < 2:
         return 0
     arr = np.asarray(members, dtype=np.intp)
-    best = 0
-    for p in members:
-        m = int(space.dist_row(int(p), arr).max())
-        if m > best:
-            best = m
-    return best
+    return max(int(block.max()) for _, block in space.row_blocks(arr, arr))
 
 
 def _components(space: FiniteMetricSpace, lam: int,
@@ -85,19 +80,17 @@ def _components(space: FiniteMetricSpace, lam: int,
         if not unvisited[k]:
             continue
         unvisited[k] = False
-        seed = int(pts[k])
-        members = [seed]
-        frontier = [seed]
-        while frontier and unvisited.any():
+        frontier = pts[k:k + 1]
+        members = [int(pts[k])]
+        while frontier.size and unvisited.any():
             open_ = np.flatnonzero(unvisited)
-            targets = pts[open_]
             hit = np.zeros(open_.size, dtype=bool)
-            for i in frontier:
-                hit |= space.dist_row(i, targets) <= lam
+            for _, block in space.row_blocks(frontier, pts[open_]):
+                hit |= (block <= lam).any(axis=0)
             reached = open_[hit]
             unvisited[reached] = False
-            frontier = pts[reached].tolist()
-            members.extend(frontier)
+            frontier = pts[reached]
+            members.extend(frontier.tolist())
         members.sort()
         blocks.append(members)
     return blocks

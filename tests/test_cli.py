@@ -170,6 +170,14 @@ def test_dim_max_n_stop_is_a_proven_lower_bound(capsys, tmp_path):
      "--size-max must be between 2 and 10, got 1"),
     (["profile", "circle(9,1)", "--c", "2", "--lambda-list", "1",
       "--cap", "-5"], "--cap must be nonnegative, got -5"),
+    (["dim", "circle(9,1)", "--lambda", "-1", "--control", "2"],
+     "--lambda must be nonnegative, got -1"),
+    (["dim", "circle(9,1)", "--lambda", "1", "--control", "-2"],
+     "--control must be nonnegative, got -2"),
+    (["profile", "circle(9,1)", "--c", "0", "--lambda-list", "1"],
+     "--c must be positive, got 0"),
+    (["schedule", "--p", "3", "--N", "0"], "--N must be positive, got 0"),
+    (["schedule", "--p", "1", "--N", "3"], "--p must be at least 2, got 1"),
 ])
 def test_out_of_range_integers_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -12,7 +12,7 @@ from scaledim import (INFEASIBLE, SmallCircleWarning, WeightSchedule,
                       dim_zero_witness, dip_scales, from_matrix,
                       group_truncation, interval, interval_wedge_truncation,
                       l1_axis_subsets, l1_prefix_indices, l1_sum, profile,
-                      profile_csv, relabel, schedule_csv, subspace,
+                      profile_csv, relabel, scale, schedule_csv, subspace,
                       truncation_factors, validate_cover, wedge_arm_subsets,
                       wedge_points, wedge_truncation, weight_schedule)
 
@@ -271,6 +271,17 @@ def test_profile_large_space_certified_bounds():
     rows = [(s.lam, s.control, s.value, s.status) for s in prof.samples]
     assert rows == [(1, 2, 0, "exact"), (2, 4, 1, "lower-bound"),
                     (9, 18, 0, "exact"), (10, 20, 1, "lower-bound")]
+
+
+def test_profile_of_a_scaled_group_is_the_group_profile_scaled():
+    # A scaled sum keeps its factors, so profile probes them as it does
+    # for the sum itself: each row is the group's row at half the scale.
+    g3 = group_truncation(3, 3)
+    base = profile(g3, 2, [1, 2, 8, 9])
+    scaled = profile(scale(g3, 2), 2, [2, 4, 16, 18])
+    assert scaled.label == "scale(group(3,3),2)"
+    assert [(s.lam, s.control, s.value, s.status) for s in scaled.samples] == [
+        (2 * s.lam, 2 * s.control, s.value, s.status) for s in base.samples]
 
 
 def test_profile_large_space_probes_the_factors(monkeypatch):

@@ -11,7 +11,8 @@ from scaledim import (Certificate, FiniteMetricSpace, ScaledCover, ScalePair,
                       format_certificate, from_matrix, interval, l1_sum,
                       parse_certificate, random_metric_space,
                       read_certificate, relabel, scale, shrink_to_partition,
-                      subspace, validate_cover, wedge, write_certificate)
+                      spaces, subspace, validate_cover, wedge,
+                      write_certificate)
 from scaledim.spacespec import build_space, parse_spec
 
 
@@ -338,17 +339,17 @@ def test_block_scan_equals_reference_scan(spec, lam, control, monkeypatch):
     # which leaves a shorter last block; of one row, which reads a row
     # per point and so runs on the smaller spaces only.
     largest = max(len(cl) for fam in cover.families for cl in fam)
-    block_sizes = [covers._BLOCK_ELEMS, largest * (largest // 3 + 1)]
+    block_sizes = [spaces._SCAN_ELEMS, largest * (largest // 3 + 1)]
     if space.size <= 2187:
         block_sizes.append(1)
     for elems in block_sizes:
-        monkeypatch.setattr(covers, "_BLOCK_ELEMS", elems)
+        monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
         assert [validate_cover(space, cv) for cv in cases] == expected
 
 
-@pytest.mark.parametrize("elems", [1, 2, covers._BLOCK_ELEMS])
+@pytest.mark.parametrize("elems", [1, 2, spaces._SCAN_ELEMS])
 def test_block_scan_reports_the_first_of_tied_extremes(elems, monkeypatch):
-    monkeypatch.setattr(covers, "_BLOCK_ELEMS", elems)
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
     circle = cyclic_group(8, 1)
     # d(0,6) = d(1,3) = 2 is the least distance between the clusters; with
     # one row per block, the two pairs lie in different blocks.

@@ -45,11 +45,14 @@ def test_components_respect_subsets():
 
 def test_components_product_path_matches_generic():
     s = l1_sum([cyclic_group(3, 1), cyclic_group(4, 2), interval(2, 5)])
-    for lam in (0, 1, 2, 4, 5, 9):
-        fast = lambda_components(s, lam)              # product decomposition
-        slow = lambda_components(s, lam, range(s.size))  # plain BFS
-        assert fast.blocks == slow.blocks, lam
-        assert fast.diameters == slow.diameters, lam
+    # A scaled sum or wedge is the sum or wedge of its scaled factors.
+    scaled_wedge = scale(wedge([cyclic_group(3, 1), s]), 3)
+    for sp in (s, scale(s, 2), scaled_wedge):
+        for lam in (0, 1, 2, 3, 4, 5, 8, 9, 10, 15, 18, 27):
+            fast = lambda_components(sp, lam)          # product or arm split
+            slow = lambda_components(sp, lam, range(sp.size))  # plain BFS
+            assert fast.blocks == slow.blocks, (sp.label, lam)
+            assert fast.diameters == slow.diameters, (sp.label, lam)
     # 2187 points, above MATRIX_CACHE_LIMIT: the BFS runs on the block kernel
     big = l1_sum([cyclic_group(3, 1), cyclic_group(27, 2),
                   cyclic_group(27, 10)])

@@ -7,9 +7,10 @@ import pytest
 
 from scaledim import spaces
 from scaledim import (FiniteMetricSpace, MetricError, ScalePair, check_metric,
-                      cyclic_group, from_matrix, interval, l1_sum,
-                      random_metric_space, read_matrix_file, relabel, scale,
-                      subspace, wedge)
+                      cyclic_group, from_matrix, group_truncation, interval,
+                      l1_sum, lambda_components, random_metric_space,
+                      read_matrix_file, relabel, scale, subspace, wedge,
+                      wedge_truncation)
 
 
 def all_pairs_equal(a, b):
@@ -129,14 +130,14 @@ def test_l1_sum_mixed_radix_layout():
     assert s.diameter() == a.diameter() + b.diameter()
     check_metric(s)
     assert s.structure == ("sum", (a, b))
-    assert scale(s, 2).structure is None
+    assert scale(s, 2).structure[0] == "sum"
     assert subspace(s, [0, 1]).structure is None
     assert a.structure is None
 
 
 def test_l1_sum_size_cap():
     with pytest.raises(ValueError, match="cap"):
-        l1_sum([cyclic_group(100, 1)] * 4, size_cap=10**6)
+        l1_sum([cyclic_group(100, 1)] * 4)
 
 
 def test_wedge_size_cap():
@@ -412,6 +413,38 @@ def test_sum_blocks_read_no_rows(monkeypatch):
         assert (sp.dist_block(pts, range(sp.size)) == truth[pts]).all()
         assert (sp.dist_block(pts) == truth[pts]).all()
         assert (fresh.densify() == truth).all(), fresh.label
+
+
+@pytest.mark.parametrize("a", [2, 3])
+@pytest.mark.parametrize("make", [
+    lambda: group_truncation(3, 3),
+    lambda: wedge_truncation(3, 4),
+    _small_wedge,
+    lambda: l1_sum([interval(1, 2), _small_wedge()]),
+], ids=["group", "wedgegroup", "wedge-with-sum-arm", "sum-with-wedge-arm"])
+def test_scale_of_a_sum_or_wedge_keeps_its_structure(make, a):
+    # scale(X, a) is the sum or wedge of the scaled factors: the same
+    # points, a times the distances, and the split of X's components.
+    x = make()
+    y = scale(x, a)
+    assert (y.size, y.basepoint) == (x.size, x.basepoint)
+    assert y.structure[0] == x.structure[0]
+    assert y.label == f"scale({x.label},{a})"
+    assert y.metric_guaranteed == x.metric_guaranteed
+    assert y.diameter() == a * x.diameter()
+    assert y.known_min_positive == a * x.known_min_positive
+    rng = random.Random(x.label)
+    rows = sorted(rng.sample(range(x.size), min(x.size, 40)))
+    for cols in (None, rows[::-1]):
+        assert (y.dist_block(rows, cols) == a * x.dist_block(rows, cols)).all()
+    assert [y.dist(i, j) for i in rows for j in rows] == [
+        a * x.dist(i, j) for i in rows for j in rows]
+    lams = {0, x.diameter()} | set(x.dist_row(x.basepoint).tolist())
+    for lam in sorted(lams | {v - 1 for v in lams if v}):
+        want = lambda_components(x, lam)
+        got = lambda_components(y, a * lam)
+        assert got.blocks == want.blocks, lam
+        assert got.diameters == tuple(a * d for d in want.diameters), lam
 
 
 @pytest.mark.parametrize("scan_elems", [1, 50, 2**14])
