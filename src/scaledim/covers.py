@@ -27,8 +27,9 @@ bounds settled.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -165,19 +166,20 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover) -> ValidationRe
     diameters that one pivot row settles (see the module docstring)
     skip the block scan; that scan alone produces violations.
     """
-    lam = cover.scale.lam
-    control = cover.scale.control
-    violations: list[Violation] = []
-
     families = [_cluster_arrays(fam, space.size) for fam in cover.families]
+    found = _violations(space, families, cover.scale.lam, cover.scale.control)
+    return ValidationReport(tuple(itertools.islice(found, MAX_VIOLATIONS)))
+
+
+def _violations(space: FiniteMetricSpace, families: list[list[np.ndarray]],
+                lam: int, control: int) -> Iterator[Violation]:
+    """Every violation of the cover, in report order."""
     covered = np.zeros(space.size, dtype=bool)
     for arrays in families:
         for pts in arrays:
             covered[pts] = True
     for p in np.flatnonzero(~covered):
-        violations.append(Violation("uncovered-point", (int(p),), 0))
-        if len(violations) >= MAX_VIOLATIONS:
-            return ValidationReport(tuple(violations))
+        yield Violation("uncovered-point", (int(p),), 0)
 
     for f, arrays in enumerate(families):
         radii = _pivot_radii(space, arrays) if space.metric_guaranteed else None
@@ -189,21 +191,15 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover) -> ValidationRe
                 best = _first_extreme(space, arrays[c1], arrays[c2],
                                       largest=False)
                 if best[0] <= lam:
-                    violations.append(Violation(
-                        "family-separation", (f, c1, c2, best[1], best[2]),
-                        best[0]))
-                    if len(violations) >= MAX_VIOLATIONS:
-                        return ValidationReport(tuple(violations))
+                    yield Violation("family-separation",
+                                    (f, c1, c2, best[1], best[2]), best[0])
         for c, pts in enumerate(arrays):
             if radii and radii[c][1] <= control:
                 continue
             worst = _first_extreme(space, pts, pts, largest=True)
             if worst[0] > control:
-                violations.append(Violation(
-                    "cluster-diameter", (f, c, worst[1], worst[2]), worst[0]))
-                if len(violations) >= MAX_VIOLATIONS:
-                    return ValidationReport(tuple(violations))
-    return ValidationReport(tuple(violations))
+                yield Violation("cluster-diameter", (f, c, worst[1], worst[2]),
+                                worst[0])
 
 
 def shrink_to_partition(space: FiniteMetricSpace,

@@ -44,6 +44,8 @@ UNKNOWN = "unknown"
 DEFAULT_NODE_BUDGET = 100_000_000
 # Above this size, skip the O(size^2) degree-ordering pass.
 _DEGREE_ORDER_LIMIT = 20_000
+# oracle_check tries this many lams and as many controls per space.
+ORACLE_GRID = 4
 
 
 # -- lam-components ---------------------------------------------------------
@@ -595,10 +597,11 @@ class OracleReport:
         return not self.mismatches
 
 
-def oracle_check(*, seed: int = 0, cases: int = 100, size_max: int = 7,
-                 grid: int = 4) -> OracleReport:
+def oracle_check(*, seed: int = 0, cases: int = 100,
+                 size_max: int = 7) -> OracleReport:
     """Compare dim_at_scale with the brute-force oracle on seeded random
-    spaces over a grid of scales drawn from each space's distances."""
+    spaces over an ORACLE_GRID x ORACLE_GRID grid of scales drawn from
+    each space's distances."""
     if cases < 1:
         raise ValueError(f"cases must be positive, got {cases}")
     if not 2 <= size_max <= _BRUTE_LIMIT:
@@ -613,12 +616,10 @@ def oracle_check(*, seed: int = 0, cases: int = 100, size_max: int = 7,
         dists = sorted({int(space.dist(i, j)) for i in range(size)
                         for j in range(i + 1, size)})
         pool = [0] + dists
-        lams = [pool[(k * (len(pool) - 1)) // max(grid - 1, 1)]
-                for k in range(grid)]
-        controls = [pool[(k * (len(pool) - 1)) // max(grid - 1, 1)]
-                    for k in range(grid)]
-        for lam in lams:
-            for control in controls:
+        scales = [pool[(k * (len(pool) - 1)) // (ORACLE_GRID - 1)]
+                  for k in range(ORACLE_GRID)]
+        for lam in scales:
+            for control in scales:
                 fast = dim_at_scale(space, lam, control)
                 brute_value, _ = dim_at_scale_bruteforce(space, lam, control)
                 checks += 1

@@ -6,18 +6,21 @@ stay queryable without O(size^2) memory; a dense matrix is memoized
 lazily only for small spaces.  Every distance is an exact nonnegative
 integer below 2**62, so numpy arithmetic on it is exact too.
 
-A constructor may supply one vectorised block kernel ``blocks(I, J)``:
-``I`` is an intp array of points, ``J`` one too or None for all points,
-and it returns a new ``len(I) x len(J)`` int64 table of their
-distances.  ``dist_block`` serves that table and ``dist_row`` one row
-of it; ``sub``, ``scale`` and ``relabel`` forward theirs to the
-``dist_block`` of the space they wrap, and ``scale`` of a sum or a wedge
-is the sum or wedge of its scaled factors.  ``row_blocks`` is the one
-bounded scan over a table of distances.
+``dist_block(I, J)`` serves a table of distances, and ``dist_row`` one
+row of it (or a view of a memoized matrix's row).  Leaf spaces compute
+their tables: a memoized matrix by one gather, ``interval`` and
+``circle`` by a closed form, and a space built from a bare oracle by one
+call per pair.  Composite spaces compose their parts' ``dist_block``: a
+sum adds its factors' blocks, a wedge reads each arm's block and goes
+through the wedge point between arms, and ``sub``, ``scale`` and
+``relabel`` map indices into the space they wrap; ``scale`` of a sum or
+a wedge is the sum or wedge of its scaled factors.  ``row_blocks`` is
+the one bounded scan over a table of distances.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -26,7 +29,7 @@ import numpy as np
 
 # Dense matrices are only ever memoized below this size.
 MATRIX_CACHE_LIMIT = 2000
-# Default cap on the number of points of an l1 direct sum.
+# Most points any constructor builds; more is refused up front.
 DEFAULT_PRODUCT_CAP = 10**6
 # Exhaustive metric-axiom validation below this size, seeded sampling above.
 EXHAUSTIVE_CHECK_LIMIT = 200
@@ -71,9 +74,11 @@ class FiniteMetricSpace:
     construction except internal memoization, so they are safe to share
     across computations.
 
-    ``blocks`` is the block kernel (see the module docstring).  A
-    memoized matrix takes over from it; with neither, the scalar oracle
-    serves every query.
+    ``blocks(I, J)`` is the block kernel: ``I`` is an intp array of
+    points, ``J`` one too or None for all points, and it returns a new
+    ``len(I) x len(J)`` int64 table of their distances.  A memoized
+    matrix takes over from it; with neither, the oracle serves every
+    query (see the module docstring).
 
     ``structure`` is ("sum", factors) for an l1 sum, ("wedge", factors)
     for a wedge and None for any other space; factors are in index order.
@@ -133,38 +138,35 @@ class FiniteMetricSpace:
 
     def dist_row(self, i: int, targets=None) -> np.ndarray:
         """Distances from point i to ``targets`` (all points when None),
-        as an int64 array."""
+        as an int64 array: a view of the memoized matrix's row, or one
+        row of ``dist_block``."""
         if self._matrix is not None:
             row = self._matrix[i]
-            if targets is None:
-                return row
-            return row[np.asarray(targets, dtype=np.intp)]
-        if self._blocks is not None:
-            cols = None if targets is None else np.asarray(targets, dtype=np.intp)
-            return self._blocks(np.array([i], dtype=np.intp), cols)[0]
-        if targets is None:
-            targets = range(self.size)
-        oracle = self._oracle
-        return np.fromiter((oracle(i, j) for j in targets), dtype=np.int64)
+            return row if targets is None else row[np.asarray(targets, dtype=np.intp)]
+        return self.dist_block(np.array([i], dtype=np.intp), targets)[0]
 
     def dist_block(self, rows, cols=None) -> np.ndarray:
         """Distances from each point of ``rows`` to each point of ``cols``
         (all points when None), as a new len(rows) x len(cols) int64
-        array."""
+        array.  The one place a bare oracle serves more than one pair."""
         rows = np.asarray(rows, dtype=np.intp)
         if cols is not None:
             cols = np.asarray(cols, dtype=np.intp)
-        if self._matrix is not None:
-            mat = self._matrix
-            return mat[rows] if cols is None else mat[rows[:, None], cols]
+        if self._matrix is not None:  # rows first: small when rows is
+            block = self._matrix.take(rows, axis=0)
+            return block if cols is None else block.take(cols, axis=1)
         if self._blocks is not None:
             return self._blocks(rows, cols)
-        width = self.size if cols is None else len(cols)
-        return np.array([self.dist_row(int(i), cols) for i in rows],
-                        dtype=np.int64).reshape(len(rows), width)
+        targets = range(self.size) if cols is None else cols.tolist()
+        oracle = self._oracle
+        return np.fromiter((oracle(i, j) for i in rows.tolist() for j in targets),
+                           dtype=np.int64, count=len(rows) * len(targets)
+                           ).reshape(len(rows), len(targets))
 
     def has_fast_rows(self) -> bool:
-        """True when a block kernel or a dense matrix serves the rows."""
+        """False only for a space built from a bare oracle, with neither
+        a block kernel nor a memoized matrix: every library constructor
+        has a kernel."""
         return self._blocks is not None or self._matrix is not None
 
     def row_blocks(self, rows=None, cols=None):
@@ -366,12 +368,20 @@ def read_matrix_file(path) -> list[list[int]]:
     return [flat[i * m:(i + 1) * m] for i in range(m)]
 
 
+def _check_cap(name: str, size: int) -> None:
+    if size > DEFAULT_PRODUCT_CAP:
+        raise ValueError(f"{name} would have {size} points, "
+                         f"over the cap {DEFAULT_PRODUCT_CAP}")
+
+
 def interval(k: int, a: int = 1) -> FiniteMetricSpace:
-    """Discrete interval: points 0..k at pairwise distance a*|i-j|."""
+    """Discrete interval: points 0..k at pairwise distance a*|i-j|.
+    Refuses more than DEFAULT_PRODUCT_CAP points."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"interval needs k >= 1, got {k!r}")
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"interval needs weight a >= 1, got {a!r}")
+    _check_cap("interval", k + 1)
     if a * k >= _INT64_SAFE:
         raise ValueError("interval diameter exceeds the 64-bit range")
 
@@ -391,11 +401,13 @@ def cyclic_group(m: int, a: int = 1) -> FiniteMetricSpace:
     """Cyclic group Z_m with the weighted word metric a*min(|i-j|, m-|i-j|).
 
     Equivalently the vertex set of an m-cycle with edge length a.
+    Refuses more than DEFAULT_PRODUCT_CAP points.
     """
     if not isinstance(m, int) or m < 3:
         raise ValueError(f"cyclic_group needs m >= 3, got {m!r}")
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"cyclic_group needs weight a >= 1, got {a!r}")
+    _check_cap("cyclic_group", m)
     if a * (m // 2) >= _INT64_SAFE:
         raise ValueError("cyclic_group diameter exceeds the 64-bit range")
 
@@ -433,9 +445,7 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
         if sp.basepoint is None:
             raise ValueError(f"wedge factor {f + 1} ({sp.label}) has no basepoint")
     size = 1 + sum(sp.size - 1 for sp in spaces)
-    if size > DEFAULT_PRODUCT_CAP:
-        raise ValueError(f"wedge would have {size} points, "
-                         f"over the cap {DEFAULT_PRODUCT_CAP}")
+    _check_cap("wedge", size)
 
     # The layout, one entry per point: the arm it lies in (-1 for the
     # wedge point), its index within that arm, its distance to the wedge
@@ -546,12 +556,8 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
         if sp.size < 1:
             raise ValueError(f"l1_sum factor {f + 1} is empty")
     sizes = [sp.size for sp in spaces]
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > DEFAULT_PRODUCT_CAP:
-            raise ValueError(f"l1_sum would have at least {total} points, "
-                             f"over the cap {DEFAULT_PRODUCT_CAP}")
+    total = math.prod(sizes)
+    _check_cap("l1_sum", total)
     diam = sum(sp.diameter() for sp in spaces)
     if diam >= _INT64_SAFE:
         raise ValueError("l1_sum diameter exceeds the 64-bit range")
@@ -564,26 +570,24 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
             y //= s
         return total_d
 
-    blocks = None
-    if all(s <= MATRIX_CACHE_LIMIT for s in sizes):
-        mats = [sp.densify() for sp in spaces]
-        state: dict = {}
+    for sp in spaces:  # small factors serve through their matrices
+        if sp.size <= MATRIX_CACHE_LIMIT:
+            sp.densify()
+    state: dict = {}
 
-        def digits(points):  # the digit table, one row per factor
-            if "digits" not in state:  # factor 1 is the lowest digit
-                state["digits"] = np.array(np.unravel_index(
-                    np.arange(total), sizes[::-1])[::-1])
-            digs = state["digits"]
-            return digs if points is None else digs.take(points, axis=1)
+    def digits(points):  # the digit table, one row per factor
+        if "digits" not in state:  # factor 1 is the lowest digit
+            state["digits"] = np.array(np.unravel_index(
+                np.arange(total), sizes[::-1])[::-1])
+        digs = state["digits"]
+        return digs if points is None else digs.take(points, axis=1)
 
-        def blocks(I, J):
-            # Per factor, gather the rows of I first, then the columns
-            # of J: the first gather is small when I is.
-            dI, dJ = digits(I), digits(J)
-            out = mats[0].take(dI[0], axis=0).take(dJ[0], axis=1)
-            for mat, ri, cj in zip(mats[1:], dI[1:], dJ[1:]):
-                out += mat.take(ri, axis=0).take(cj, axis=1)
-            return out
+    def blocks(I, J):  # the sum of the factors' blocks
+        dI, dJ = digits(I), digits(J)
+        out = spaces[0].dist_block(dI[0], dJ[0])
+        for sp, ri, cj in zip(spaces[1:], dI[1:], dJ[1:]):
+            out += sp.dist_block(ri, cj)
+        return out
 
     base = l1_blocks(spaces, [[[sp.basepoint]] for sp in spaces])[0][0]
     minpos = None
@@ -610,12 +614,10 @@ def _index_map(space: FiniteMetricSpace, index: Optional[np.ndarray], a: int,
     def oracle(i, j):
         return a * space.dist(ids[i], ids[j])
 
-    blocks = None
-    if space.has_fast_rows():
-        def blocks(I, J):
-            if index is not None:
-                I, J = index[I], index if J is None else index[J]
-            return a * space.dist_block(I, J)
+    def blocks(I, J):
+        if index is not None:
+            I, J = index[I], index if J is None else index[J]
+        return a * space.dist_block(I, J)
 
     mapped = FiniteMetricSpace(len(ids), oracle, basepoint=basepoint, label=label,
                                blocks=blocks, diameter_hint=diameter_hint,

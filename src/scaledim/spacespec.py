@@ -85,9 +85,9 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token("STRING", text[i + 1:end], line, col))
             col += end - i + 1
             i = end + 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # ASCII only: str.isdigit() takes '³'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             out.append(_Token("INT", int(text[i:j]), line, col))
             col += j - i
@@ -111,21 +111,27 @@ def _positive(name):
     return (f"{name} >= 1", check)
 
 
-# name -> (argument shapes, per-argument range checks)
+def _matrix(path: str) -> FiniteMetricSpace:
+    return from_matrix(read_matrix_file(path), label=f'matrix("{path}")')
+
+
+# name -> (argument shapes, per-argument range checks, builder); the
+# builder takes the arguments with every expression already built.
 # Shapes: "int", "string", "intlist", "expr", "expr+" (one or more).
 _GRAMMAR = {
-    "interval": (("int", "int"), {0: _positive("k"), 1: _positive("a")}),
+    "interval": (("int", "int"), {0: _positive("k"), 1: _positive("a")},
+                 interval),
     "circle": (("int", "int"), {0: ("m >= 3", lambda v: v >= 3),
-                                1: _positive("a")}),
+                                1: _positive("a")}, cyclic_group),
     "group": (("int", "int"), {0: ("p >= 3", lambda v: v >= 3),
-                               1: _positive("N")}),
+                               1: _positive("N")}, _cons.group_truncation),
     "wedgegroup": (("int", "int"), {0: ("p >= 3", lambda v: v >= 3),
-                                    1: _positive("N")}),
-    "wedge": (("expr+",), {}),
-    "sum": (("expr+",), {}),
-    "sub": (("expr", "intlist"), {}),
-    "scale": (("expr", "int"), {1: _positive("a")}),
-    "matrix": (("string",), {}),
+                                    1: _positive("N")}, _cons.wedge_truncation),
+    "wedge": (("expr+",), {}, lambda *fs: wedge(fs)),
+    "sum": (("expr+",), {}, lambda *fs: l1_sum(fs)),
+    "sub": (("expr", "intlist"), {}, subspace),
+    "scale": (("expr", "int"), {1: _positive("a")}, scale),
+    "matrix": (("string",), {}, _matrix),
 }
 
 
@@ -213,7 +219,7 @@ class _Parser:
         return "expr"
 
     def _check_call(self, name: str, args: list, at: _Token) -> None:
-        shapes, ranges = _GRAMMAR[name]
+        shapes, ranges, _ = _GRAMMAR[name]
         if shapes == ("expr+",):
             if not args:
                 raise SpecParseError(f"{name} needs at least one factor",
@@ -273,26 +279,8 @@ def format_spec(spec: SpaceSpec) -> str:
 
 def build_space(spec: SpaceSpec) -> FiniteMetricSpace:
     """Construct the space a parsed spec describes."""
-    name, args = spec.name, spec.args
-    if name == "interval":
-        return interval(args[0], args[1])
-    if name == "circle":
-        return cyclic_group(args[0], args[1])
-    if name == "group":
-        return _cons.group_truncation(args[0], args[1])
-    if name == "wedgegroup":
-        return _cons.wedge_truncation(args[0], args[1])
-    if name == "wedge":
-        return wedge([build_space(a) for a in args])
-    if name == "sum":
-        return l1_sum([build_space(a) for a in args])
-    if name == "sub":
-        return subspace(build_space(args[0]), list(args[1]))
-    if name == "scale":
-        return scale(build_space(args[0]), args[1])
-    if name == "matrix":
-        return from_matrix(read_matrix_file(args[0]), label=f'matrix("{args[0]}")')
-    raise AssertionError(f"unhandled constructor {name}")
+    args = [build_space(a) if isinstance(a, SpaceSpec) else a for a in spec.args]
+    return _GRAMMAR[spec.name][2](*args)
 
 
 def build_with_witnesses(spec: SpaceSpec) -> tuple[FiniteMetricSpace, list[list[int]]]:

@@ -245,7 +245,7 @@ def test_criterion_05_profile_shadow():
 
 def test_criterion_06_oracle_equivalence():
     t0 = time.monotonic()
-    report = oracle_check(seed=0, cases=100, size_max=7, grid=4)
+    report = oracle_check(seed=0, cases=100, size_max=7)
     elapsed = time.monotonic() - t0
     ok = report.ok and elapsed < 300
     verdict(6, ok, f"{report.checks} comparisons on {report.cases} seeded "

@@ -50,6 +50,14 @@ def test_bad_spec_exits_2(capsys):
     assert "m >= 3" in err
 
 
+@pytest.mark.parametrize("spec", ["interval(30000000,1)", "circle(30000000,1)"])
+def test_spaces_over_the_cap_exit_2(capsys, spec):
+    code, out, err = run(capsys, "dim", spec, "--lambda", "0", "--control", "0")
+    assert code == 2
+    assert out == ""
+    assert "points, over the cap 1000000" in err
+
+
 @pytest.mark.parametrize("spec", ["group(2,64)", "wedgegroup(2,30)"])
 def test_group_with_p_2_is_a_parse_error(capsys, spec):
     name = spec.split("(")[0]

@@ -140,6 +140,15 @@ def test_l1_sum_size_cap():
         l1_sum([cyclic_group(100, 1)] * 4)
 
 
+def test_interval_and_circle_size_cap():
+    with pytest.raises(ValueError, match="1000001 points, over the cap"):
+        interval(10**6, 1)
+    assert interval(999_999, 1).size == 10**6
+    with pytest.raises(ValueError, match="1000001 points, over the cap"):
+        cyclic_group(10**6 + 1, 1)
+    assert cyclic_group(10**6, 1).size == 10**6
+
+
 def test_wedge_size_cap():
     # 1 + 2 * 599999 points: refused before any per-point work
     with pytest.raises(ValueError, match="1199999 points, over the cap"):
@@ -349,33 +358,20 @@ def _small_wedge():
     return wedge([cyclic_group(5, 1), _small_sum(), interval(2, 4)])
 
 
+def _bare():
+    # No kernel and no matrix: only the oracle serves it.
+    return FiniteMetricSpace(6, lambda i, j: 2 * abs(i - j) + (i != j),
+                             basepoint=0)
+
+
 def _oracle_table(sp):
     return np.array([[sp.dist(i, j) for j in range(sp.size)]
                      for i in range(sp.size)], dtype=np.int64)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: interval(6, 3),
-    lambda: cyclic_group(7, 2),
-    lambda: from_matrix([[0, 2, 3, 1], [2, 0, 1, 3], [3, 1, 0, 2],
-                         [1, 3, 2, 0]]),
-    lambda: FiniteMetricSpace(6, lambda i, j: 2 * abs(i - j) + (i != j)),
-    _small_sum,
-    lambda: subspace(_small_sum(), [0, 3, 4, 9, 17, 20, 35]),
-    lambda: scale(_small_sum(), 3),
-    lambda: relabel(_small_sum(), random.Random(4).sample(range(36), 36)),
-    _small_wedge,
-    lambda: subspace(_small_wedge(), [0, 2, 5, 6, 13, 30, 40, 41]),
-    lambda: scale(_small_wedge(), 2),
-    lambda: relabel(_small_wedge(), random.Random(5).sample(range(42), 42)),
-    lambda: wedge([_small_wedge(), cyclic_group(4, 3), _small_sum()]),
-], ids=["interval", "circle", "matrix", "oracle", "sum", "sub-of-sum",
-        "scale-of-sum", "relabel-of-sum", "wedge-with-sum-arm",
-        "sub-of-wedge", "scale-of-wedge", "relabel-of-wedge", "nested-wedge"])
-def test_dist_block_equals_stacked_rows(make):
+def _check_blocks(sp):
     # dist_row is one row of the block kernel, so the scalar oracle,
     # which no kernel serves, is the reference for both.
-    sp = make()
     truth = _oracle_table(sp)
     rng = random.Random(sp.label)
     everything = list(range(sp.size))
@@ -392,8 +388,53 @@ def test_dist_block_equals_stacked_rows(make):
                 assert block[k].tolist() == sp.dist_row(i, cols).tolist()
 
 
+_SUMS = {
+    "sum": _small_sum,
+    "sum-with-oracle-factor": lambda: l1_sum([_bare(), cyclic_group(3, 2)]),
+    "wedge-with-sum-arm": _small_wedge,
+    "nested-wedge": lambda: wedge([_small_wedge(), cyclic_group(4, 3),
+                                   _small_sum()]),
+}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: interval(6, 3),
+    lambda: cyclic_group(7, 2),
+    lambda: from_matrix([[0, 2, 3, 1], [2, 0, 1, 3], [3, 1, 0, 2],
+                         [1, 3, 2, 0]]),
+    _bare,
+    lambda: subspace(_bare(), [0, 2, 3, 5]),
+    lambda: scale(_bare(), 3),
+    lambda: relabel(_bare(), [4, 0, 5, 2, 1, 3]),
+    lambda: subspace(_small_sum(), [0, 3, 4, 9, 17, 20, 35]),
+    lambda: scale(_small_sum(), 3),
+    lambda: relabel(_small_sum(), random.Random(4).sample(range(36), 36)),
+    lambda: subspace(_small_wedge(), [0, 2, 5, 6, 13, 30, 40, 41]),
+    lambda: scale(_small_wedge(), 2),
+    lambda: relabel(_small_wedge(), random.Random(5).sample(range(42), 42)),
+    *_SUMS.values(),
+], ids=["interval", "circle", "matrix", "oracle", "sub-of-oracle",
+        "scale-of-oracle", "relabel-of-oracle", "sub-of-sum", "scale-of-sum",
+        "relabel-of-sum", "sub-of-wedge", "scale-of-wedge", "relabel-of-wedge",
+        *_SUMS])
+def test_dist_block_equals_stacked_rows(make):
+    _check_blocks(make())
+
+
+@pytest.mark.parametrize("make", _SUMS.values(), ids=_SUMS)
+def test_sum_blocks_without_factor_matrices(make, monkeypatch):
+    # With the matrix limit low, a sum keeps no factor matrix and reads
+    # its factors' own kernels, down to the bare oracle's.
+    monkeypatch.setattr(spaces, "MATRIX_CACHE_LIMIT", 2)
+    sp = make()
+    sums = [sp] if sp.structure[0] == "sum" else [
+        f for f in sp.structure[1] if f.structure and f.structure[0] == "sum"]
+    assert all(f._matrix is None for s in sums for f in s.structure[1])
+    _check_blocks(sp)
+
+
 def test_sum_blocks_read_no_rows(monkeypatch):
-    # A sum serves blocks from its factors' matrices, and the spaces
+    # A sum serves blocks from its factors' blocks, and the spaces
     # built on one forward blocks to it, not row by row.
     makers = [_small_sum,
               lambda: subspace(_small_sum(), [0, 3, 4, 9, 17, 20, 35]),

@@ -142,6 +142,10 @@ def test_structural_errors():
     assert "trailing input" in str(err("circle(3,1))"))
     assert "unterminated string" in str(err('matrix("oops'))
     assert "unexpected character" in str(err("circle(3,1)!"))
+    for digit in "³٣":  # digits to str.isdigit, not to the grammar
+        e = err(f"circle({digit},1)")
+        assert (e.line, e.col) == (1, 8)
+        assert f"unexpected character {digit!r}" in str(e)
     e = err("wedge(interval(1,1),")
     assert e.expected == "an argument"
 
