@@ -181,11 +181,11 @@ def _cmd_dim(args) -> int:
 
 def _lambda_list(text: str) -> list[int]:
     try:
-        lams = [int(t) for t in text.split(",") if t.strip()]
+        lams = [int(t) for t in text.split(",")]
     except ValueError:
         raise ValueError(f"--lambda-list must be comma-separated "
                          f"integers, got {text!r}") from None
-    if not lams or any(v < 0 for v in lams):
+    if any(v < 0 for v in lams):
         raise ValueError("--lambda-list needs nonnegative integers")
     return lams
 

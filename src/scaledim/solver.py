@@ -17,11 +17,16 @@ budget converts oversized searches into an explicit "unknown" rather
 than a wrong answer.
 
 The search visits points in decreasing order of their number of
-lam-neighbours, and keeps each point's neighbour list from the pass that
-counts them.  Each colour class keeps an owner array naming the
-component that holds each point, so inserting a point reads the owners
-of its neighbours and then one distance row per component it joins:
-components out of its reach cost nothing.
+lam-neighbours.  The pass that counts them reads the distances once,
+block by block, and keeps each point's row: its neighbour list and its
+control ball, the points within control of it, as an int bitmask.
+Each colour class keeps an owner array naming the component that holds
+each point, and each component a bitmask of its members.  Inserting a
+point reads the owners of its neighbours; it may join the components
+it reaches exactly when each of their masks lies inside its ball, one
+integer AND per component, and on a merge inside the balls of the other
+components' members.  The search reads distances only to re-read rows
+it could not keep, and components out of a point's reach cost nothing.
 """
 
 from __future__ import annotations
@@ -186,122 +191,167 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
 
 # -- incremental colour classes ---------------------------------------------
 
-# Neighbour entries kept in memory by one search; past this, a point's
-# neighbours are read again at each visit.
+# Row entries kept in memory by one search, counting each neighbour and
+# each 64-bit word of a ball; past this, a point's row is read again at
+# each visit.
 _NEIGHBOUR_LIMIT = 1 << 22
 
 
 class _Neighbours:
-    """Each point's lam-neighbours other than itself, as index arrays.
+    """Each point's row: its lam-neighbours other than itself, as an
+    index array, and its control ball, the points within control of it,
+    as a bitmask ``(lo, bits)`` whose bit k stands for point lo + k, lo
+    being the ball's least point.  So a ball is as wide as the index
+    span of its points, not as the space.
 
-    A point's row is read on first use and kept while the kept rows hold
-    at most _NEIGHBOUR_LIMIT entries in all, so a dense lam-graph on many
-    points costs rereads rather than memory.
+    Rows are kept while they hold at most _NEIGHBOUR_LIMIT entries in
+    all, so a dense lam-graph on many points costs rereads rather than
+    memory; a row not kept is read again on each use.
     """
 
-    __slots__ = ("space", "lam", "rows", "kept")
+    __slots__ = ("space", "lam", "control", "rows", "kept")
 
-    def __init__(self, space: FiniteMetricSpace, lam: int):
+    def __init__(self, space: FiniteMetricSpace, lam: int, control: int):
         self.space = space
         self.lam = lam
-        self.rows: list[Optional[np.ndarray]] = [None] * space.size
+        self.control = control
+        self.rows: list[Optional[tuple]] = [None] * space.size
         self.kept = 0
 
-    def __call__(self, p: int) -> np.ndarray:
-        near = self.rows[p]
-        if near is None:
-            mask = self.space.dist_row(p) <= self.lam
-            mask[p] = False
-            near = np.flatnonzero(mask)
-            if self.kept + near.size <= _NEIGHBOUR_LIMIT:
-                self.rows[p] = near
-                self.kept += near.size
-        return near
+    def __call__(self, p: int) -> tuple:
+        row = self.rows[p]
+        if row is None:
+            row = self.read(p, self.space.dist_row(p)[None])[0]
+        return row
+
+    def read(self, start: int, block: np.ndarray) -> list[tuple]:
+        """The rows of points start, start + 1, ... from their block of
+        distances to every point, keeping those that fit."""
+        near = block <= self.lam
+        np.fill_diagonal(near[:, start:], False)
+        k, m = block.shape
+        flat = np.flatnonzero(near)
+        ends = np.searchsorted(flat, np.arange(m, k * m + 1, m)).tolist()
+        cols = flat % m
+        packed = np.packbits(block <= self.control, axis=1, bitorder="little")
+        width = packed.shape[1]
+        buf = packed.tobytes()
+        out = []
+        begin = 0
+        for r, end in enumerate(ends):
+            near_r = cols[begin:end]
+            begin = end
+            ball = int.from_bytes(buf[r * width:(r + 1) * width], "little")
+            lo = (ball & -ball).bit_length() - 1
+            ball >>= lo
+            row = (near_r, lo, ball)
+            out.append(row)
+            cost = near_r.size + (ball.bit_length() + 63) // 64
+            if self.kept + cost <= _NEIGHBOUR_LIMIT:
+                self.rows[start + r] = row
+                self.kept += cost
+        return out
+
+
+def _union(lo: int, bits: int, lo2: int, bits2: int) -> tuple[int, int]:
+    # The union of two bitmasks, each relative to its least point.
+    if lo2 < lo:
+        return lo2, bits2 | (bits << (lo - lo2))
+    return lo, bits | (bits2 << (lo2 - lo))
 
 
 class _ColorClass:
-    """One colour class of the search: its lam-components with exact
-    diameters, maintained incrementally with undo.
+    """One colour class of the search: its lam-components, maintained
+    incrementally with undo.
 
     ``owner[q]`` is the id of the component holding point q, or -1 when
     q is not in the class; a component's id is one of its points, and
-    ``members`` and ``diam`` map ids to member lists and diameters.
+    ``comps`` maps ids to ``[lo, bits, members]``: the member bitmask
+    relative to the least member lo, as in a ball, and the member list.
+    Every component has diameter at most the control, so a point may
+    join the components it touches exactly when each lies in its ball
+    and, on a merge, each lies in the balls of the others' members.
     """
 
-    __slots__ = ("space", "control", "owner", "members", "diam")
+    __slots__ = ("rows", "owner", "comps")
 
-    def __init__(self, space: FiniteMetricSpace, control: int):
-        self.space = space
-        self.control = control
-        self.owner = np.full(space.size, -1, dtype=np.int32)
-        self.members: dict[int, list[int]] = {}
-        self.diam: dict[int, int] = {}
+    def __init__(self, rows: _Neighbours):
+        self.rows = rows
+        self.owner = np.full(rows.space.size, -1, dtype=np.int32)
+        self.comps: dict[int, list] = {}
 
-    def try_insert(self, p: int, near: np.ndarray):
-        """Insert point p, whose lam-neighbours are ``near``, if the class
-        stays valid; return an undo token, or None when insertion would
-        push a component over the control.  A refused insert changes
-        nothing."""
+    def try_insert(self, p: int, row: tuple):
+        """Insert point p, whose row is ``row``, if the class stays
+        valid; return an undo token, or None when insertion would push a
+        component over the control.  A refused insert changes nothing."""
+        near, blo, ball = row
         touched = set(self.owner[near].tolist())
         touched.discard(-1)
-        members, diams = self.members, self.diam
+        comps = self.comps
         if not touched:
             self.owner[p] = p
-            members[p] = [p]
-            diams[p] = 0
-            return (p, p, 0, 0, ())
-        space, control = self.space, self.control
-        diam = 0
+            comps[p] = [p, 1, [p]]
+            return (p, p, 0, p, ())
         for c in touched:
-            d = max(diams[c], int(space.dist_row(p, members[c]).max()))
-            if d > control:
+            lo, bits, _ = comps[c]
+            if lo < blo or (ball >> (lo - blo)) & bits != bits:
                 return None
-            diam = max(diam, d)
         moved = ()
         if len(touched) == 1:
             main = c
+            mlo, mbits, _ = comps[c]
         else:
             # Merging several components: their cross distances become
-            # internal.  Each smaller component reads its rows over the
-            # members merged so far, which start as the largest one's.
-            main = max(touched, key=lambda c: len(members[c]))
-            merged = list(members[main])
+            # internal.  The members of each smaller component are
+            # checked against the mask merged so far, which starts as
+            # the largest one's.
+            main = max(touched, key=lambda c: len(comps[c][2]))
+            mlo, mbits, _ = comps[main]
+            rows = self.rows
             for c in touched:
                 if c == main:
                     continue
-                arr = np.asarray(merged, dtype=np.intp)
-                for q in members[c]:
-                    diam = max(diam, int(space.dist_row(q, arr).max()))
-                    if diam > control:
+                lo, bits, ms = comps[c]
+                for q in ms:
+                    _, qlo, qball = rows(q)
+                    if mlo < qlo or (qball >> (mlo - qlo)) & mbits != mbits:
                         return None
-                merged.extend(members[c])
-            moved = tuple((c, members.pop(c), diams.pop(c))
-                          for c in touched if c != main)
-        big = members[main]
-        token = (p, main, len(big), diams[main], moved)
-        for c, ms, _ in moved:
+                mlo, mbits = _union(mlo, mbits, lo, bits)
+            moved = tuple((c, comps.pop(c)) for c in touched if c != main)
+        comp = comps[main]
+        big = comp[2]
+        token = (p, main, len(big), comp[0], moved)
+        for c, (_, _, ms) in moved:
             big.extend(ms)
             self.owner[ms] = main
+        comp[0], comp[1] = _union(mlo, mbits, p, 1)
         big.append(p)
         self.owner[p] = main
-        diams[main] = diam
         return token
 
     def undo(self, token) -> None:
-        p, main, old_len, old_diam, moved = token
+        # A token holds no mask: the grown component drops p's bit and
+        # the masks of the components it absorbed, which come back from
+        # the token as they were, and is re-based on its old least point.
+        p, main, old_len, old_lo, moved = token
         self.owner[p] = -1
+        comps = self.comps
         if old_len == 0:
-            del self.members[main], self.diam[main]
+            del comps[main]
             return
-        del self.members[main][old_len:]
-        self.diam[main] = old_diam
-        for c, ms, d in moved:
-            self.members[c] = ms
-            self.diam[c] = d
-            self.owner[ms] = c
+        comp = comps[main]
+        lo = comp[0]
+        bits = comp[1] ^ (1 << (p - lo))
+        for c, moved_comp in moved:
+            bits ^= moved_comp[1] << (moved_comp[0] - lo)
+            comps[c] = moved_comp
+            self.owner[moved_comp[2]] = c
+        comp[0] = old_lo
+        comp[1] = bits >> (old_lo - lo)
+        del comp[2][old_len:]
 
     def clusters(self) -> list[frozenset]:
-        return [frozenset(ms) for ms in self.members.values()]
+        return [frozenset(ms) for _, _, ms in self.comps.values()]
 
 
 # -- feasibility search -----------------------------------------------------
@@ -324,20 +374,21 @@ class SearchOutcome:
     evidence: Optional[ExhaustionEvidence] = None
 
 
-def _search_order(space: FiniteMetricSpace,
-                  lam: int) -> tuple[list[int], _Neighbours]:
-    # The search order, most lam-neighbours first, and the neighbour
-    # table, whose rows the ordering pass fills.  Densify first where
+def _search_order(space: FiniteMetricSpace, lam: int,
+                  control: int) -> tuple[list[int], _Neighbours]:
+    # The search order, most lam-neighbours first, and the row table,
+    # which the ordering pass fills block by block.  Densify first where
     # allowed: that pass reads every row.  Above _DEGREE_ORDER_LIMIT the
     # order is the index order and rows are read as the search visits.
     m = space.size
     if m <= MATRIX_CACHE_LIMIT:
         space.densify()
-    near = _Neighbours(space, lam)
+    rows = _Neighbours(space, lam, control)
     if m > _DEGREE_ORDER_LIMIT:
-        return list(range(m)), near
-    deg = [near(i).size for i in range(m)]
-    return sorted(range(m), key=lambda i: (-deg[i], i)), near
+        return list(range(m)), rows
+    deg = [row[0].size for start, block in space.row_blocks()
+           for row in rows.read(start, block)]
+    return sorted(range(m), key=lambda i: (-deg[i], i)), rows
 
 
 def _scan(space: FiniteMetricSpace, lam: int, control: int,
@@ -348,7 +399,7 @@ def _scan(space: FiniteMetricSpace, lam: int, control: int,
     parts = lambda_components(space, lam)
     order = None
     if top >= 1 and parts.max_diameter() > control:
-        order = _search_order(space, lam)
+        order = _search_order(space, lam, control)
     return parts, order
 
 
@@ -374,8 +425,8 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
 
     m = space.size
     kmax = n + 1
-    points, neighbours = order
-    classes = [_ColorClass(space, control) for _ in range(kmax)]
+    points, rows = order
+    classes = [_ColorClass(rows) for _ in range(kmax)]
     choice = [-1] * m
     undos: list = [None] * m
     used_before = [0] * m
@@ -384,7 +435,7 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
     t = 0
     while 0 <= t < m:
         p = points[t]
-        near = neighbours(p)
+        row = rows(p)
         c = choice[t] + 1
         limit = min(used + 1, kmax)
         placed = False
@@ -392,7 +443,7 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
             nodes += 1
             if nodes > node_budget:
                 return SearchOutcome(UNKNOWN, None, nodes)
-            token = classes[c].try_insert(p, near)
+            token = classes[c].try_insert(p, row)
             if token is not None:
                 choice[t] = c
                 undos[t] = token

@@ -184,6 +184,8 @@ def test_dim_max_n_stop_is_a_proven_lower_bound(capsys, tmp_path):
      "--control must be nonnegative, got -2"),
     (["profile", "circle(9,1)", "--c", "0", "--lambda-list", "1"],
      "--c must be positive, got 0"),
+    (["profile", "circle(5,1)", "--c", "2", "--lambda-list", "1,,2"],
+     "--lambda-list must be comma-separated integers, got '1,,2'"),
     (["schedule", "--p", "3", "--N", "0"], "--N must be positive, got 0"),
     (["schedule", "--p", "1", "--N", "3"], "--p must be at least 2, got 1"),
 ])

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from scaledim import solver
@@ -267,18 +268,31 @@ def test_dim_at_scale_scans_once(monkeypatch):
     ("sum(interval(4,1),interval(4,1))", 2, 4, None, "exact", 25154),
     ("sum(circle(6,1),circle(6,1))", 2, 4, None, "exact", 37605),
     ("sum(interval(6,1),interval(6,1))", 2, 5, 100_000, "unknown", 100_001),
+    # Merge-heavy: random metrics (points, seed) at the q0.25 and q0.5
+    # distance quantiles, as in the benchmark's search workload.
+    pytest.param((50, 3), 1, 2, None, "exact", 49_721, id="random(50,3)"),
+    pytest.param((40, 1), 1, 2, None, "exact", 6_380, id="random(40,1)"),
 ])
 def test_search_tree_sizes_are_pinned(spec, lam, control, budget, status,
                                       nodes):
-    space = build_space(parse_spec(spec))
+    if isinstance(spec, tuple):
+        space = random_metric_space(*spec)
+    else:
+        space = build_space(parse_spec(spec))
     kw = {} if budget is None else {"node_budget": budget}
     result = dim_at_scale(space, lam, control, **kw)
     assert (result.status, result.nodes) == (status, nodes)
 
 
 def _class_state(cls):
-    return (cls.owner.copy(), {c: tuple(ms) for c, ms in cls.members.items()},
-            dict(cls.diam))
+    return (cls.owner.copy(), {c: (lo, bits, tuple(ms))
+                               for c, (lo, bits, ms) in cls.comps.items()})
+
+
+def _mask(points):
+    # The bitmask of a point set relative to its least point.
+    lo = min(points)
+    return lo, sum(1 << (q - lo) for q in points)
 
 
 def _check_color_class(rng, space):
@@ -286,8 +300,8 @@ def _check_color_class(rng, space):
                     for v in space.dist_row(i)})
     lam = rng.choice(dists)
     control = rng.choice([d for d in dists if d >= lam])
-    cls = solver._ColorClass(space, control)
-    near = solver._Neighbours(space, lam)
+    rows = solver._Neighbours(space, lam, control)
+    cls = solver._ColorClass(rows)
     stack = []
     for _ in range(2 * space.size):
         inside = [p for p, _ in stack]
@@ -295,24 +309,25 @@ def _check_color_class(rng, space):
         if outside and (not stack or rng.random() < 0.7):
             p = rng.choice(outside)
             before = _class_state(cls)
-            token = cls.try_insert(p, near(p))
+            token = cls.try_insert(p, rows(p))
             fits = lambda_components(
                 space, lam, inside + [p]).max_diameter() <= control
             assert (token is not None) == fits
             if token is None:
                 after = _class_state(cls)
                 assert (after[0] == before[0]).all()
-                assert after[1:] == before[1:]
+                assert after[1] == before[1]
             else:
                 stack.append((p, token))
         else:
             cls.undo(stack.pop()[1])
         inside = [p for p, _ in stack]
         want = lambda_components(space, lam, inside)
-        got = {frozenset(ms): cls.diam[c] for c, ms in cls.members.items()}
-        assert got == {frozenset(b): d for b, d in
-                       zip(want.blocks, want.diameters)}
-        for c, ms in cls.members.items():
+        assert {frozenset(ms) for _, _, ms in cls.comps.values()} == \
+            {frozenset(b) for b in want.blocks}
+        assert want.max_diameter() <= control
+        for c, (lo, bits, ms) in cls.comps.items():
+            assert (lo, bits) == _mask(ms)
             assert (cls.owner[ms] == c).all() and c in ms
         assert (cls.owner >= 0).sum() == len(inside)
 
@@ -338,6 +353,46 @@ def test_color_class_tracks_components(random_wedge):
     check()
 
 
+def test_stored_masks_are_as_wide_as_their_index_span(monkeypatch):
+    # Balls and component masks are stored relative to their least
+    # point.  On circle(3000,1) at (1, 2), searched without a dense
+    # matrix, each is one word wide, except the few that hold both ends
+    # of the index range, where the circle closes.
+    sp = cyclic_group(3000, 1)
+    want = dim_at_scale(cyclic_group(3000, 1), 1, 2)
+    monkeypatch.setattr(solver, "MATRIX_CACHE_LIMIT", sp.size // 2)
+    classes = []
+
+    class Recording(solver._ColorClass):
+        __slots__ = ()
+
+        def __init__(self, rows):
+            super().__init__(rows)
+            classes.append(self)
+
+    monkeypatch.setattr(solver, "_ColorClass", Recording)
+    got = dim_at_scale(sp, 1, 2)
+    assert (got.value, got.nodes, got.certificate) == \
+        (want.value, want.nodes, want.certificate)
+    ends = {0, sp.size - 1}
+
+    def check(lo, bits, points):
+        assert (lo, bits) == _mask(points)
+        assert bits.bit_length() <= 64 or ends <= set(points)
+
+    rows = classes[0].rows
+    assert rows.space is sp and sp._matrix is None
+    assert None not in rows.rows
+    for p, (_, lo, ball) in enumerate(rows.rows):
+        check(lo, ball, np.flatnonzero(sp.dist_row(p) <= 2).tolist())
+    assert sum(ball.bit_length() > 64 for _, _, ball in rows.rows) == 4
+    live = [comp for cls in classes for comp in cls.comps.values()]
+    assert len(live) == len(got.certificate.families[0]) + \
+        len(got.certificate.families[1])
+    for lo, bits, ms in live:
+        check(lo, bits, ms)
+
+
 def test_neighbour_rows_past_the_limit_are_reread(monkeypatch):
     # With no room to keep rows, every visit reads its row again: the
     # search explores the same tree and finds the same cover.
@@ -350,8 +405,8 @@ def test_neighbour_rows_past_the_limit_are_reread(monkeypatch):
         got = dim_at_scale(sp, lam, control)
         assert (got.status, got.value, got.nodes, got.certificate) == \
             (want.status, want.value, want.nodes, want.certificate)
-        _, near = solver._search_order(sp, lam)
-        assert near.kept == 0
+        _, rows = solver._search_order(sp, lam, control)
+        assert rows.kept == 0
 
 
 def test_large_spaces_read_neighbours_on_visit(monkeypatch):
@@ -359,9 +414,9 @@ def test_large_spaces_read_neighbours_on_visit(monkeypatch):
     # order is the index order and each row is read on first visit.
     monkeypatch.setattr(solver, "_DEGREE_ORDER_LIMIT", 10)
     sp = l1_sum([interval(4, 1), interval(4, 1)])
-    order, near = solver._search_order(sp, 2)
+    order, rows = solver._search_order(sp, 2, 4)
     assert order == list(range(sp.size))
-    assert near.rows == [None] * sp.size
+    assert rows.rows == [None] * sp.size
     result = exact_dim(sp, 2, 4)
     assert result.value == 2
     assert validate_cover(sp, dim_le(sp, 2, 4, 2).certificate).ok
