@@ -6,16 +6,23 @@ stay queryable without O(size^2) memory; a dense matrix is memoized
 lazily only for small spaces.  Every distance is an exact nonnegative
 integer below 2**62, so numpy arithmetic on it is exact too.
 
-``dist_block(I, J)`` serves a table of distances, and ``dist_row`` one
-row of it (or a view of a memoized matrix's row).  Leaf spaces compute
-their tables: a memoized matrix by one gather, ``interval`` and
-``circle`` by a closed form, and a space built from a bare oracle by one
-call per pair.  Composite spaces compose their parts' ``dist_block``: a
-sum adds its factors' blocks, a wedge reads each arm's block and goes
-through the wedge point between arms, and ``sub``, ``scale`` and
-``relabel`` map indices into the space they wrap; ``scale`` of a sum or
-a wedge is the sum or wedge of its scaled factors.  ``row_blocks`` is
-the one bounded scan over a table of distances.
+One block kernel serves every table of distances.  ``blocks(J)`` binds
+the columns J (all points when None) and returns a reader; the reader
+maps rows I to the table from I to J.  ``dist_block(I, J)`` applies one
+reader once and ``dist_row`` reads one row (or views a memoized
+matrix's row); ``row_blocks`` is the one bounded scan, and binds one
+reader for all its blocks.  Leaf spaces compute their tables: a
+memoized matrix by one gather, rows first, ``interval`` and ``circle``
+by a closed form in the bound columns, and a space built from a bare
+oracle by one call per pair.  Composite spaces compose their parts'
+tables.  A sum adds its factors' tables: over all points, each factor's
+block is added as the next digit; over picked columns, a factor with no
+more points than a block has rows is read once, whole, against the
+columns' digits, and every block takes whole rows of that table.  A
+wedge reads each arm's block and goes through the wedge point between
+arms, and ``sub``, ``scale`` and ``relabel`` bind the mapped columns in
+the space they wrap.  ``scale`` of a sum or a wedge is the sum or wedge
+of its scaled factors.
 """
 
 from __future__ import annotations
@@ -74,11 +81,11 @@ class FiniteMetricSpace:
     construction except internal memoization, so they are safe to share
     across computations.
 
-    ``blocks(I, J)`` is the block kernel: ``I`` is an intp array of
-    points, ``J`` one too or None for all points, and it returns a new
-    ``len(I) x len(J)`` int64 table of their distances.  A memoized
-    matrix takes over from it; with neither, the oracle serves every
-    query (see the module docstring).
+    ``blocks(J)`` is the block kernel: ``J`` is an intp array of points
+    or None for all points, and it returns a reader, which maps an intp
+    array ``I`` to a new ``len(I) x len(J)`` int64 table of their
+    distances.  A memoized matrix takes over from it; with neither, the
+    oracle serves every query (see the module docstring).
 
     ``structure`` is ("sum", factors) for an l1 sum, ("wedge", factors)
     for a wedge and None for any other space; factors are in index order.
@@ -148,20 +155,33 @@ class FiniteMetricSpace:
     def dist_block(self, rows, cols=None) -> np.ndarray:
         """Distances from each point of ``rows`` to each point of ``cols``
         (all points when None), as a new len(rows) x len(cols) int64
-        array.  The one place a bare oracle serves more than one pair."""
+        array: one read of the reader bound to ``cols``."""
         rows = np.asarray(rows, dtype=np.intp)
         if cols is not None:
             cols = np.asarray(cols, dtype=np.intp)
-        if self._matrix is not None:  # rows first: small when rows is
-            block = self._matrix.take(rows, axis=0)
-            return block if cols is None else block.take(cols, axis=1)
+        if self._matrix is not None:
+            return _gather(self._matrix, rows, cols)
+        return self._reader(cols)(rows)
+
+    def _reader(self, cols: Optional[np.ndarray]) -> Callable:
+        """The reader bound to ``cols`` (an intp array, or None for all
+        points): given an intp array I of points, it returns the new
+        len(I) x len(cols) int64 table of their distances.  The one
+        place a bare oracle serves more than one pair."""
+        mat = self._matrix
+        if mat is not None:
+            return lambda I: _gather(mat, I, cols)
         if self._blocks is not None:
-            return self._blocks(rows, cols)
+            return self._blocks(cols)
         targets = range(self.size) if cols is None else cols.tolist()
         oracle = self._oracle
-        return np.fromiter((oracle(i, j) for i in rows.tolist() for j in targets),
-                           dtype=np.int64, count=len(rows) * len(targets)
-                           ).reshape(len(rows), len(targets))
+
+        def read(I):
+            return np.fromiter((oracle(i, j) for i in I.tolist() for j in targets),
+                               dtype=np.int64, count=len(I) * len(targets)
+                               ).reshape(len(I), len(targets))
+
+        return read
 
     def has_fast_rows(self) -> bool:
         """False only for a space built from a bare oracle, with neither
@@ -172,13 +192,17 @@ class FiniteMetricSpace:
     def row_blocks(self, rows=None, cols=None):
         """``dist_block(rows, cols)`` (all points for None) as (start,
         block) pairs, block holding rows[start:start + len(block)], in
-        blocks of at most _SCAN_ELEMS entries (one row at least)."""
-        if rows is None:
-            rows = np.arange(self.size)
+        blocks of at most _SCAN_ELEMS entries (one row at least), all
+        read through one reader bound to ``cols``."""
+        rows = (np.arange(self.size, dtype=np.intp) if rows is None
+                else np.asarray(rows, dtype=np.intp))
+        if cols is not None:
+            cols = np.asarray(cols, dtype=np.intp)
         width = self.size if cols is None else len(cols)
         step = max(1, _SCAN_ELEMS // max(1, width))
+        read = self._reader(cols)
         for start in range(0, len(rows), step):
-            yield start, self.dist_block(rows[start:start + step], cols)
+            yield start, read(rows[start:start + step])
 
     def densify(self) -> np.ndarray:
         """Build (and memoize) the full distance matrix.  Only allowed for
@@ -221,6 +245,14 @@ class FiniteMetricSpace:
 
     def __repr__(self):
         return f"FiniteMetricSpace({self.label!r}, size={self.size})"
+
+
+def _gather(mat: np.ndarray, rows: np.ndarray,
+            cols: Optional[np.ndarray]) -> np.ndarray:
+    """Rows of a matrix, then their columns ``cols`` (all when None):
+    rows first, the cheap order when rows are few, as in a one-row read."""
+    block = mat.take(rows, axis=0)
+    return block if cols is None else block.take(cols, axis=1)
 
 
 # -- validation ------------------------------------------------------------
@@ -385,9 +417,9 @@ def interval(k: int, a: int = 1) -> FiniteMetricSpace:
     if a * k >= _INT64_SAFE:
         raise ValueError("interval diameter exceeds the 64-bit range")
 
-    def blocks(I, J):
+    def blocks(J):
         t = np.arange(k + 1, dtype=np.int64) if J is None else J
-        return a * np.abs(t - I[:, None])
+        return lambda I: a * np.abs(t - I[:, None])
 
     space = FiniteMetricSpace(k + 1, lambda i, j: a * abs(i - j),
                               basepoint=0, label=f"interval({k},{a})",
@@ -417,10 +449,14 @@ def cyclic_group(m: int, a: int = 1) -> FiniteMetricSpace:
             d = m - d
         return a * d
 
-    def blocks(I, J):
+    def blocks(J):
         t = np.arange(m, dtype=np.int64) if J is None else J
-        d = np.abs(t - I[:, None])
-        return a * np.minimum(d, m - d)
+
+        def read(I):
+            d = np.abs(t - I[:, None])
+            return a * np.minimum(d, m - d)
+
+        return read
 
     space = FiniteMetricSpace(m, oracle, basepoint=0, label=f"circle({m},{a})",
                               blocks=blocks, diameter_hint=a * (m // 2),
@@ -475,15 +511,20 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
             return spaces[oi].dist(int(local[i]), int(local[j]))
         return int(to_base[i] + to_base[j])
 
-    def blocks(I, J):  # through the wedge point, except within one arm
+    def blocks(J):  # through the wedge point, except within one arm
         t = slice(None) if J is None else J
-        oI, oJ, lJ = owner[I], owner[t], local[t]
-        out = to_base[I][:, None] + to_base[t]
-        for f in set(oI.tolist()) - {-1}:
-            rows, cols = oI == f, oJ == f
-            inner = spaces[f].dist_block(local[I[rows]], lJ[cols])
-            out[rows[:, None] & cols] = inner.ravel()  # in row-major order
-        return out
+        oJ, lJ, bJ = owner[t], local[t], to_base[t]
+
+        def read(I):
+            oI = owner[I]
+            out = to_base[I][:, None] + bJ
+            for f in set(oI.tolist()) - {-1}:
+                rows, cols = oI == f, oJ == f
+                inner = spaces[f].dist_block(local[I[rows]], lJ[cols])
+                out[rows[:, None] & cols] = inner.ravel()  # in row-major order
+            return out
+
+        return read
 
     # Exact closed forms: the diameter is realised inside one arm or
     # through the basepoint between the two most eccentric arms.
@@ -555,7 +596,7 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
             raise ValueError(f"l1_sum factor {f + 1} ({sp.label}) has no basepoint")
         if sp.size < 1:
             raise ValueError(f"l1_sum factor {f + 1} is empty")
-    sizes = [sp.size for sp in spaces]
+    sizes = tuple(sp.size for sp in spaces)
     total = math.prod(sizes)
     _check_cap("l1_sum", total)
     diam = sum(sp.diameter() for sp in spaces)
@@ -573,21 +614,40 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
     for sp in spaces:  # small factors serve through their matrices
         if sp.size <= MATRIX_CACHE_LIMIT:
             sp.densify()
-    state: dict = {}
 
-    def digits(points):  # the digit table, one row per factor
-        if "digits" not in state:  # factor 1 is the lowest digit
-            state["digits"] = np.array(np.unravel_index(
-                np.arange(total), sizes[::-1])[::-1])
-        digs = state["digits"]
-        return digs if points is None else digs.take(points, axis=1)
+    def digits(points):  # each factor's coordinate; factor 1 is the lowest
+        return np.unravel_index(points, sizes, order="F")
 
-    def blocks(I, J):  # the sum of the factors' blocks
-        dI, dJ = digits(I), digits(J)
-        out = spaces[0].dist_block(dI[0], dJ[0])
-        for sp, ri, cj in zip(spaces[1:], dI[1:], dJ[1:]):
-            out += sp.dist_block(ri, cj)
-        return out
+    def blocks(J):  # the sum of the factors' blocks
+        if J is None:  # each factor's block added as the next, slower digit
+            def grid(I):
+                out = np.zeros((len(I), 1), dtype=np.int64)
+                for sp, ri in zip(spaces, digits(I)):
+                    out = (sp.dist_block(ri)[:, :, None] + out[:, None, :]
+                           ).reshape(len(I), sp.size * out.shape[1])
+                return out
+
+            return grid
+        cols = digits(J)
+        # A factor with no more points than a read has rows is read
+        # once, whole, against its column digits: a table no larger
+        # than that block, from which every block takes whole rows.
+        tables = [None] * len(spaces)
+
+        def read(I):
+            out = None
+            for f, (sp, ri, cj) in enumerate(zip(spaces, digits(I), cols)):
+                if tables[f] is None and sp.size <= len(I):
+                    tables[f] = sp.dist_block(np.arange(sp.size), cj)
+                part = (sp.dist_block(ri, cj) if tables[f] is None
+                        else tables[f].take(ri, axis=0))
+                if out is None:
+                    out = part
+                else:
+                    out += part
+            return out
+
+        return read
 
     base = l1_blocks(spaces, [[[sp.basepoint]] for sp in spaces])[0][0]
     minpos = None
@@ -614,10 +674,12 @@ def _index_map(space: FiniteMetricSpace, index: Optional[np.ndarray], a: int,
     def oracle(i, j):
         return a * space.dist(ids[i], ids[j])
 
-    def blocks(I, J):
-        if index is not None:
-            I, J = index[I], index if J is None else index[J]
-        return a * space.dist_block(I, J)
+    def blocks(J):
+        if index is None:
+            read = space._reader(J)
+            return lambda I: a * read(I)
+        read = space._reader(index if J is None else index[J])
+        return lambda I: a * read(index[I])
 
     mapped = FiniteMetricSpace(len(ids), oracle, basepoint=basepoint, label=label,
                                blocks=blocks, diameter_hint=diameter_hint,

@@ -202,8 +202,9 @@ def _exact_copy(space):
     guarantee: validated with nothing pruned."""
     table = np.stack([space.dist_row(i) for i in range(space.size)])
 
-    def blocks(I, J):
-        return table[I] if J is None else table[np.ix_(I, J)]
+    def blocks(J):
+        cols = table if J is None else table[:, J]
+        return lambda I: cols[I]
 
     return FiniteMetricSpace(space.size, space.dist, blocks=blocks)
 

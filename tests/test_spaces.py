@@ -397,28 +397,61 @@ _SUMS = {
 }
 
 
-@pytest.mark.parametrize("make", [
-    lambda: interval(6, 3),
-    lambda: cyclic_group(7, 2),
-    lambda: from_matrix([[0, 2, 3, 1], [2, 0, 1, 3], [3, 1, 0, 2],
-                         [1, 3, 2, 0]]),
-    _bare,
-    lambda: subspace(_bare(), [0, 2, 3, 5]),
-    lambda: scale(_bare(), 3),
-    lambda: relabel(_bare(), [4, 0, 5, 2, 1, 3]),
-    lambda: subspace(_small_sum(), [0, 3, 4, 9, 17, 20, 35]),
-    lambda: scale(_small_sum(), 3),
-    lambda: relabel(_small_sum(), random.Random(4).sample(range(36), 36)),
-    lambda: subspace(_small_wedge(), [0, 2, 5, 6, 13, 30, 40, 41]),
-    lambda: scale(_small_wedge(), 2),
-    lambda: relabel(_small_wedge(), random.Random(5).sample(range(42), 42)),
-    *_SUMS.values(),
-], ids=["interval", "circle", "matrix", "oracle", "sub-of-oracle",
-        "scale-of-oracle", "relabel-of-oracle", "sub-of-sum", "scale-of-sum",
-        "relabel-of-sum", "sub-of-wedge", "scale-of-wedge", "relabel-of-wedge",
-        *_SUMS])
+_SPACES = {
+    "interval": lambda: interval(6, 3),
+    "circle": lambda: cyclic_group(7, 2),
+    "matrix": lambda: from_matrix([[0, 2, 3, 1], [2, 0, 1, 3], [3, 1, 0, 2],
+                                   [1, 3, 2, 0]]),
+    "oracle": _bare,
+    "sub-of-oracle": lambda: subspace(_bare(), [0, 2, 3, 5]),
+    "scale-of-oracle": lambda: scale(_bare(), 3),
+    "relabel-of-oracle": lambda: relabel(_bare(), [4, 0, 5, 2, 1, 3]),
+    "sub-of-sum": lambda: subspace(_small_sum(), [0, 3, 4, 9, 17, 20, 35]),
+    "scale-of-sum": lambda: scale(_small_sum(), 3),
+    "relabel-of-sum": lambda: relabel(_small_sum(),
+                                      random.Random(4).sample(range(36), 36)),
+    "sub-of-wedge": lambda: subspace(_small_wedge(),
+                                     [0, 2, 5, 6, 13, 30, 40, 41]),
+    "scale-of-wedge": lambda: scale(_small_wedge(), 2),
+    "relabel-of-wedge": lambda: relabel(_small_wedge(),
+                                        random.Random(5).sample(range(42), 42)),
+    **_SUMS,
+}
+
+
+@pytest.mark.parametrize("make", _SPACES.values(), ids=_SPACES)
 def test_dist_block_equals_stacked_rows(make):
     _check_blocks(make())
+
+
+def _check_scans(sp):
+    # With _SCAN_ELEMS at 16, a scan over 2 columns reads blocks of 8
+    # rows, over 5 columns blocks of 3 and over 9 columns or all of a
+    # sum's points blocks of one: the sums' factors of 3 and 4 points
+    # are read from whole tables in some scans and block by block in
+    # others.  Rows repeat and leave a shorter last block.
+    truth = _oracle_table(sp)
+    rng = random.Random(sp.label)
+    everything = list(range(sp.size))
+    picks = [rng.choices(everything, k=k) for k in (2, 5, 9)]
+    for rows in (everything, rng.choices(everything, k=2 * sp.size + 3)):
+        for cols in [None, everything, []] + picks:
+            width = sp.size if cols is None else len(cols)
+            step = max(1, 16 // max(1, width))
+            scan = list(sp.row_blocks(rows, cols))
+            assert [start for start, _ in scan] == list(
+                range(0, len(rows), step))
+            got = np.concatenate([block for _, block in scan])
+            want = truth[rows][:, everything if cols is None else cols]
+            assert got.dtype == np.int64
+            assert got.shape == want.shape
+            assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("make", _SPACES.values(), ids=_SPACES)
+def test_multi_block_scans_equal_the_oracle(make, monkeypatch):
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", 16)
+    _check_scans(make())
 
 
 @pytest.mark.parametrize("make", _SUMS.values(), ids=_SUMS)
@@ -431,6 +464,8 @@ def test_sum_blocks_without_factor_matrices(make, monkeypatch):
         f for f in sp.structure[1] if f.structure and f.structure[0] == "sum"]
     assert all(f._matrix is None for s in sums for f in s.structure[1])
     _check_blocks(sp)
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", 16)
+    _check_scans(sp)
 
 
 def test_sum_blocks_read_no_rows(monkeypatch):
@@ -454,6 +489,42 @@ def test_sum_blocks_read_no_rows(monkeypatch):
         assert (sp.dist_block(pts, range(sp.size)) == truth[pts]).all()
         assert (sp.dist_block(pts) == truth[pts]).all()
         assert (fresh.densify() == truth).all(), fresh.label
+
+
+def test_sum_tables_each_small_factor_once_per_scan(monkeypatch):
+    # In a scan of 5-row blocks, each factor (of 3, 3 and 4 points) is
+    # read once, whole, against the columns' digits, and every block
+    # takes rows of that table; the scan binds one reader.  A one-row
+    # read tables nothing: each factor serves its one row directly.
+    sp = _small_sum()
+    factors = list(sp.structure[1])
+    truth = _oracle_table(sp)
+    reads, binds = [], []
+    dist_block, reader = FiniteMetricSpace.dist_block, FiniteMetricSpace._reader
+
+    def spy_block(self, rows, cols=None):
+        if self in factors:
+            reads.append((factors.index(self), len(rows)))
+        return dist_block(self, rows, cols)
+
+    def spy_reader(self, cols):
+        binds.append(self)
+        return reader(self, cols)
+
+    monkeypatch.setattr(FiniteMetricSpace, "dist_block", spy_block)
+    monkeypatch.setattr(FiniteMetricSpace, "_reader", spy_reader)
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", 16)
+    cols = [1, 35, 7]
+    rows = list(range(sp.size)) + [4, 0, 4]
+    scan = list(sp.row_blocks(rows, cols))
+    assert [len(block) for _, block in scan] == [5] * 7 + [4]
+    got = np.concatenate([block for _, block in scan])
+    assert got.tolist() == truth[rows][:, cols].tolist()
+    assert sorted(reads) == [(0, 3), (1, 3), (2, 4)]
+    assert binds == [sp]
+    reads.clear()
+    assert sp.dist_row(5, cols).tolist() == truth[5, cols].tolist()
+    assert sorted(reads) == [(0, 1), (1, 1), (2, 1)]
 
 
 @pytest.mark.parametrize("a", [2, 3])
