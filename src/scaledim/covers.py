@@ -9,20 +9,24 @@ less than the fewest families of any valid cover, so the validator here
 is the ground truth the search code is checked against: it recomputes
 every condition from raw distances and shares no logic with the solver.
 
-On a space whose metric is guaranteed (``metric_guaranteed``), one row
-out of each cluster's first point p settles most of the work by the
-triangle inequality.  For x, x' in a cluster C and y in another cluster,
+On a space whose metric is guaranteed (``metric_guaranteed``), the
+triangle inequality settles most of the work from one row out of each
+cluster's first point p, its pivot.  For x, x' in a cluster C and y in
+another cluster,
 
     d(x, y) >= d(p, y) - d(p, x)      and      d(x, x') <= d(x, p) + d(p, x'),
 
 so C is more than lam from C' when min d(p, C') - max d(p, C) > lam,
 and C is within the control when the two largest entries of d(p, C) sum
-to at most it.  Whatever these bounds leave open, and everything on
-hand-built oracles and matrices too large to check exhaustively, is
-scanned exhaustively, block by block (``row_blocks``); only that scan
-reports violations, and it keeps the first extreme pair in point order
-whatever the blocks, so a report does not depend on which pairs the
-bounds settled.
+to at most it.  Each family takes one ``row_blocks`` scan of its pivots
+against its clusters laid end to end; ``np.minimum.reduceat`` over the
+cluster offsets gives each pivot's least distance to every cluster.
+The pairs and clusters these bounds leave open, and all of them on
+hand-built oracles and matrices too large to check exhaustively, are
+scanned exhaustively, block by block; only that scan reports
+violations, and it keeps the first extreme pair in point order whatever
+the blocks, so a report does not depend on which pairs the bounds
+settled.
 """
 
 from __future__ import annotations
@@ -119,24 +123,30 @@ def _cluster_arrays(fam: Sequence[frozenset], size: int) -> list[np.ndarray]:
     return arrays
 
 
-def _pivot_radii(space: FiniteMetricSpace,
-                 arrays: Sequence[np.ndarray]) -> list[tuple[int, int]]:
-    """For each cluster, from one row out of its first point p: the
-    largest distance from p to the cluster, and the sum of the two
-    largest, which bounds the diameter."""
-    radii = []
-    for pts in arrays:
-        top = np.sort(space.dist_row(int(pts[0]), pts))[-2:]
-        radii.append((int(top[-1]), int(top.sum())))
-    return radii
-
-
-def _settled_apart(space: FiniteMetricSpace, c1: np.ndarray, reach: int,
-                   c2: np.ndarray, lam: int) -> bool:
-    """True when one row from c1's first point p proves the two clusters
-    more than lam apart: d(x, y) >= d(p, y) - d(p, x) for x in c1, y in
-    c2, and reach is the largest d(p, x)."""
-    return int(space.dist_row(int(c1[0]), c2).min()) - reach > lam
+def _open_checks(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
+                 lam: int, control: int
+                 ) -> tuple[Iterable[tuple[int, int]], Iterable[int]]:
+    """The cluster pairs (c1, c2), c1 < c2, and the clusters of one
+    family that the pivot bounds leave open, in (c1, c2) and c order:
+    every one of them when the metric is not guaranteed.  One scan reads
+    each cluster's pivot (its first point) against the whole family."""
+    n = len(arrays)
+    if not space.metric_guaranteed or not n:
+        return itertools.combinations(range(n), 2), range(n)
+    offsets = np.cumsum([0] + [len(pts) for pts in arrays])
+    pairs, clusters = [], []
+    for start, block in space.row_blocks([pts[0] for pts in arrays],
+                                         np.concatenate(arrays)):
+        c1 = np.arange(start, start + len(block))
+        # The two largest distances from each pivot into its own cluster.
+        top = [np.sort(row[lo:hi])[-2:] for row, lo, hi in
+               zip(block, offsets[start:], offsets[start + 1:])]
+        reach = np.array([t[-1] for t in top])
+        gap = np.minimum.reduceat(block, offsets[:-1], axis=1) - reach[:, None]
+        i, c2 = np.nonzero((gap <= lam) & (c1[:, None] < np.arange(n)))
+        pairs += zip((start + i).tolist(), c2.tolist())
+        clusters += c1[[t.sum() > control for t in top]].tolist()
+    return pairs, clusters
 
 
 def _first_extreme(space: FiniteMetricSpace, rows: np.ndarray,
@@ -163,8 +173,9 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover) -> ValidationRe
     everything else is reported as Violation entries (up to
     MAX_VIOLATIONS of them, coverage first, then separation, then
     diameters).  When ``space.metric_guaranteed``, cluster pairs and
-    diameters that one pivot row settles (see the module docstring)
-    skip the block scan; that scan alone produces violations.
+    diameters that the family's pivot scan settles (see the module
+    docstring) skip the exhaustive scan; that scan alone produces
+    violations.
     """
     families = [_cluster_arrays(fam, space.size) for fam in cover.families]
     found = _violations(space, families, cover.scale.lam, cover.scale.control)
@@ -182,21 +193,14 @@ def _violations(space: FiniteMetricSpace, families: list[list[np.ndarray]],
         yield Violation("uncovered-point", (int(p),), 0)
 
     for f, arrays in enumerate(families):
-        radii = _pivot_radii(space, arrays) if space.metric_guaranteed else None
-        for c1 in range(len(arrays)):
-            for c2 in range(c1 + 1, len(arrays)):
-                if radii and _settled_apart(space, arrays[c1], radii[c1][0],
-                                            arrays[c2], lam):
-                    continue
-                best = _first_extreme(space, arrays[c1], arrays[c2],
-                                      largest=False)
-                if best[0] <= lam:
-                    yield Violation("family-separation",
-                                    (f, c1, c2, best[1], best[2]), best[0])
-        for c, pts in enumerate(arrays):
-            if radii and radii[c][1] <= control:
-                continue
-            worst = _first_extreme(space, pts, pts, largest=True)
+        pairs, clusters = _open_checks(space, arrays, lam, control)
+        for c1, c2 in pairs:
+            best = _first_extreme(space, arrays[c1], arrays[c2], largest=False)
+            if best[0] <= lam:
+                yield Violation("family-separation",
+                                (f, c1, c2, best[1], best[2]), best[0])
+        for c in clusters:
+            worst = _first_extreme(space, arrays[c], arrays[c], largest=True)
             if worst[0] > control:
                 yield Violation("cluster-diameter", (f, c, worst[1], worst[2]),
                                 worst[0])

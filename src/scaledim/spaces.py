@@ -159,8 +159,6 @@ class FiniteMetricSpace:
         rows = np.asarray(rows, dtype=np.intp)
         if cols is not None:
             cols = np.asarray(cols, dtype=np.intp)
-        if self._matrix is not None:
-            return _gather(self._matrix, rows, cols)
         return self._reader(cols)(rows)
 
     def _reader(self, cols: Optional[np.ndarray]) -> Callable:
@@ -169,8 +167,10 @@ class FiniteMetricSpace:
         len(I) x len(cols) int64 table of their distances.  The one
         place a bare oracle serves more than one pair."""
         mat = self._matrix
-        if mat is not None:
-            return lambda I: _gather(mat, I, cols)
+        if mat is not None:  # rows first, the cheap order when rows are few
+            if cols is None:
+                return lambda I: mat.take(I, axis=0)
+            return lambda I: mat.take(I, axis=0).take(cols, axis=1)
         if self._blocks is not None:
             return self._blocks(cols)
         targets = range(self.size) if cols is None else cols.tolist()
@@ -245,14 +245,6 @@ class FiniteMetricSpace:
 
     def __repr__(self):
         return f"FiniteMetricSpace({self.label!r}, size={self.size})"
-
-
-def _gather(mat: np.ndarray, rows: np.ndarray,
-            cols: Optional[np.ndarray]) -> np.ndarray:
-    """Rows of a matrix, then their columns ``cols`` (all when None):
-    rows first, the cheap order when rows are few, as in a one-row read."""
-    block = mat.take(rows, axis=0)
-    return block if cols is None else block.take(cols, axis=1)
 
 
 # -- validation ------------------------------------------------------------

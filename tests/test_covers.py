@@ -312,13 +312,17 @@ def _reference_report(space, cover):
 
 def _corruptions(cover, seed):
     """Two seeded single-point moves, the first two clusters of the first
-    family merged, a tighter control and a larger lam."""
+    family merged, the second cluster's least point listed in the first
+    cluster too, a tighter control and a larger lam."""
     lam, control = cover.scale.lam, cover.scale.control
     rng = random.Random(seed)
     first = list(cover.families[0])
     merged = [[first[0] | first[1]] + first[2:]] + list(cover.families[1:])
+    shared = ([[first[0] | {min(first[1])}] + first[1:]]
+              + list(cover.families[1:]))
     return [_move_one_point(cover, rng), _move_one_point(cover, rng),
             ScaledCover.of(lam, control, merged),
+            ScaledCover.of(lam, control, shared),
             ScaledCover.of(lam, control // 4, cover.families),
             ScaledCover.of(2 * lam, control, cover.families)]
 
@@ -346,6 +350,31 @@ def test_block_scan_equals_reference_scan(spec, lam, control, monkeypatch):
     for elems in block_sizes:
         monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
         assert [validate_cover(space, cv) for cv in cases] == expected
+
+
+def test_one_pivot_scan_per_family(monkeypatch):
+    """The pivot bounds of a family come from one scan: the space binds
+    one reader per family, and one per pair or cluster left open."""
+    space = build_space(parse_spec("group(3,3)"))
+    cover = dim_at_scale(space, 9, 18).certificate
+    assert [len(fam) for fam in cover.families] == [27]
+    binds, extremes = [], []
+    reader, first_extreme = FiniteMetricSpace._reader, covers._first_extreme
+
+    def counting_reader(self, cols):
+        if self is space:
+            binds.append(cols)
+        return reader(self, cols)
+
+    def counting_extreme(*args, **kwargs):
+        extremes.append(args)
+        return first_extreme(*args, **kwargs)
+
+    monkeypatch.setattr(FiniteMetricSpace, "_reader", counting_reader)
+    monkeypatch.setattr(covers, "_first_extreme", counting_extreme)
+    assert validate_cover(space, cover).ok
+    assert extremes
+    assert len(binds) == len(cover.families) + len(extremes)
 
 
 @pytest.mark.parametrize("elems", [1, 2, spaces._SCAN_ELEMS])

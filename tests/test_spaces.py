@@ -494,8 +494,9 @@ def test_sum_blocks_read_no_rows(monkeypatch):
 def test_sum_tables_each_small_factor_once_per_scan(monkeypatch):
     # In a scan of 5-row blocks, each factor (of 3, 3 and 4 points) is
     # read once, whole, against the columns' digits, and every block
-    # takes rows of that table; the scan binds one reader.  A one-row
-    # read tables nothing: each factor serves its one row directly.
+    # takes rows of that table; the scan binds the sum's reader once and
+    # each factor's once, for its table.  A one-row read tables nothing:
+    # each factor serves its one row directly.
     sp = _small_sum()
     factors = list(sp.structure[1])
     truth = _oracle_table(sp)
@@ -521,7 +522,7 @@ def test_sum_tables_each_small_factor_once_per_scan(monkeypatch):
     got = np.concatenate([block for _, block in scan])
     assert got.tolist() == truth[rows][:, cols].tolist()
     assert sorted(reads) == [(0, 3), (1, 3), (2, 4)]
-    assert binds == [sp]
+    assert binds == [sp] + factors
     reads.clear()
     assert sp.dist_row(5, cols).tolist() == truth[5, cols].tolist()
     assert sorted(reads) == [(0, 1), (1, 1), (2, 1)]
