@@ -22,8 +22,21 @@ to at most it.  Each family takes one ``row_blocks`` scan of its pivots
 against its clusters laid end to end; ``np.minimum.reduceat`` over the
 cluster offsets gives each pivot's least distance to every cluster.
 The pairs and clusters these bounds leave open, and all of them on
-hand-built oracles and matrices too large to check exhaustively, are
-scanned exhaustively, block by block; only that scan reports
+hand-built oracles and matrices too large to check exhaustively,
+then go to the product-hull bound when the space is an l1 sum.
+
+An l1 distance splits across the factors, so for clusters A and B of a
+sum, with proj_f(A) the coordinates of A's points in factor f,
+
+    min d(A x B) >= sum_f min d_f(proj_f A x proj_f B),
+    max d(A x A) <= sum_f max d_f(proj_f A x proj_f A),
+
+with equality when A and B are the products of their projections.  The
+bound needs no triangle inequality, so it serves sums of hand-built
+oracles too.  Each family's projections are computed once, and the
+factor terms of its open checks are read through the factors' own
+``row_blocks``, a batch of checks at a time.  What both bounds leave
+open is scanned exhaustively, block by block; only that scan reports
 violations, and it keeps the first extreme pair in point order whatever
 the blocks, so a report does not depend on which pairs the bounds
 settled.
@@ -41,6 +54,12 @@ from .spaces import FiniteMetricSpace, ScalePair
 
 CERTIFICATE_HEADER = "scaled-cover 1"
 MAX_VIOLATIONS = 16  # validate_cover reports at most this many
+# The product-hull bound takes a family's open checks this many at a
+# time, and expands a check pair by pair on a factor only when its two
+# projections there make at most _HULL_PAIRS pairs; a larger product is
+# read from the factor block by block.
+_HULL_BATCH = 64
+_HULL_PAIRS = 2**12
 
 
 @dataclass(frozen=True)
@@ -57,7 +76,7 @@ class ScaledCover:
         for fam in families:
             clusters = []
             for cluster in fam:
-                cl = frozenset(int(p) for p in cluster)
+                cl = frozenset(map(int, cluster))
                 if not cl:
                     raise ValueError("clusters must be nonempty")
                 clusters.append(cl)
@@ -149,6 +168,113 @@ def _open_checks(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
     return pairs, clusters
 
 
+def _hull_open(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
+               pairs: Iterable[tuple[int, int]], clusters: Iterable[int],
+               lam: int, control: int
+               ) -> tuple[Iterable[tuple[int, int]], Iterable[int]]:
+    """The pairs and clusters of one family that the product-hull bound
+    leaves open, in the order given: all of them unless the space is an
+    l1 sum."""
+    if space.structure is None or space.structure[0] != "sum" or not arrays:
+        return pairs, clusters
+    factors = space.structure[1]
+    proj = _projections(factors, arrays)
+    wide = _unsettled(factors, proj, ((c, c) for c in clusters), control,
+                      largest=True)
+    return (_unsettled(factors, proj, pairs, lam, largest=False),
+            (c for c, _ in wide))
+
+
+def _unsettled(factors: Sequence[FiniteMetricSpace],
+               proj: Sequence[tuple[np.ndarray, np.ndarray]],
+               checks: Iterable[tuple[int, int]], limit: int, *,
+               largest: bool) -> Iterator[tuple[int, int]]:
+    """The checks (c1, c2) whose hull bound does not settle them: the
+    least distance bound at most ``limit``, or the largest over it."""
+    checks = iter(checks)
+    while batch := list(itertools.islice(checks, _HULL_BATCH)):
+        a, b = np.array(batch, dtype=np.intp).T
+        bound = _hull_bounds(factors, proj, a, b, largest=largest)
+        yield from itertools.compress(
+            batch, (bound > limit) if largest else (bound <= limit))
+
+
+def _projections(factors: Sequence[FiniteMetricSpace],
+                 arrays: Sequence[np.ndarray]
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each cluster's projection on each factor of an l1 sum: per
+    factor, the clusters' coordinates there, each cluster's sorted and
+    without repeats, laid end to end, and the clusters' offsets into
+    them.  Factor 1 is the lowest digit of a point, as in ``l1_blocks``."""
+    n = len(arrays)
+    owner = np.repeat(np.arange(n), [len(pts) for pts in arrays])
+    digits = np.unravel_index(np.concatenate(arrays),
+                              [g.size for g in factors], order="F")
+    proj = []
+    for g, coord in zip(factors, digits):
+        keys = np.sort(owner * g.size + coord)
+        keys = keys[_run_starts(keys)]
+        proj.append((keys % g.size,
+                     np.searchsorted(keys, np.arange(n + 1) * g.size)))
+    return proj
+
+
+def _hull_bounds(factors: Sequence[FiniteMetricSpace],
+                 proj: Sequence[tuple[np.ndarray, np.ndarray]],
+                 a: np.ndarray, b: np.ndarray, *, largest: bool) -> np.ndarray:
+    """For each check k, the sum over the factors of the least (or
+    largest) factor distance from cluster a[k]'s projection to cluster
+    b[k]'s: at most the least distance from a[k] to b[k] (at least the
+    largest), and equal to it when both clusters are products."""
+    top, extreme = (np.max, np.maximum) if largest else (np.min, np.minimum)
+    bound = np.zeros(len(a), dtype=np.int64)
+    for g, (coords, off) in zip(factors, proj):
+        count = (off[a + 1] - off[a]) * (off[b + 1] - off[b])
+        for k in np.flatnonzero(count > _HULL_PAIRS):
+            blocks = g.row_blocks(coords[off[a[k]]:off[a[k] + 1]],
+                                  coords[off[b[k]]:off[b[k] + 1]])
+            bound[k] += top([top(block) for _, block in blocks])
+        small = np.flatnonzero(count <= _HULL_PAIRS)
+        if not len(small):
+            continue
+        # The small checks' pairs laid end to end: for a check with
+        # projections P and Q, t runs over len(P) * len(Q) row-major.
+        count = count[small]
+        starts = np.cumsum(count) - count
+        t = np.arange(starts[-1] + count[-1]) - np.repeat(starts, count)
+        width = np.repeat(off[b[small] + 1] - off[b[small]], count)
+        x = coords[np.repeat(off[a[small]], count) + t // width]
+        y = coords[np.repeat(off[b[small]], count) + t % width]
+        bound[small] += extreme.reduceat(_pairwise(g, x, y), starts)
+    return bound
+
+
+def _pairwise(space: FiniteMetricSpace, x: np.ndarray,
+              y: np.ndarray) -> np.ndarray:
+    """d(x[k], y[k]) for each k, from one ``row_blocks`` scan of the
+    distinct x against the distinct y."""
+    order = np.argsort(x)
+    xs, ys = x[order], np.sort(y)
+    first = _run_starts(xs)
+    rows, i = xs[first], np.cumsum(first) - 1
+    cols = ys[_run_starts(ys)]
+    j = np.searchsorted(cols, y[order])
+    out = np.empty(len(x), dtype=np.int64)
+    for start, block in space.row_blocks(rows, cols):
+        lo, hi = np.searchsorted(i, [start, start + len(block)])
+        out[order[lo:hi]] = block[i[lo:hi] - start, j[lo:hi]]
+    return out
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of a sorted array starts, as a
+    mask: its distinct entries without ``np.unique``, which imports
+    ``numpy.ma`` (about 1.5 MB of resident memory)."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
 def _first_extreme(space: FiniteMetricSpace, rows: np.ndarray,
                    cols: np.ndarray, *, largest: bool) -> tuple[int, int, int]:
     """The least (or largest) d(p, q) over p in rows and q in cols, as
@@ -172,8 +298,9 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover) -> ValidationRe
     refuses) are usage errors and raise ValueError;
     everything else is reported as Violation entries (up to
     MAX_VIOLATIONS of them, coverage first, then separation, then
-    diameters).  When ``space.metric_guaranteed``, cluster pairs and
-    diameters that the family's pivot scan settles (see the module
+    diameters).  Cluster pairs and diameters that the family's pivot
+    scan settles (when ``space.metric_guaranteed``) or its product-hull
+    bound settles (when the space is an l1 sum; see the module
     docstring) skip the exhaustive scan; that scan alone produces
     violations.
     """
@@ -194,6 +321,8 @@ def _violations(space: FiniteMetricSpace, families: list[list[np.ndarray]],
 
     for f, arrays in enumerate(families):
         pairs, clusters = _open_checks(space, arrays, lam, control)
+        pairs, clusters = _hull_open(space, arrays, pairs, clusters,
+                                     lam, control)
         for c1, c2 in pairs:
             best = _first_extreme(space, arrays[c1], arrays[c2], largest=False)
             if best[0] <= lam:

@@ -289,24 +289,39 @@ def _reference_report(space, cover):
              if not any(p in cl for fam in cover.families for cl in fam)]
     for f, fam in enumerate(cover.families):
         fam = [np.array(sorted(cl)) for cl in fam]
-        nearest = {}  # (c1, c2): (d, p, q) at the least d(p, q)
-        widest = {}  # c: (d, p, q) at the largest d(p, q)
+        if not fam:
+            continue
+        lens = [len(cl) for cl in fam]
+        starts = np.cumsum([0] + lens[:-1])
+        points = np.concatenate(fam)
+        wide = []
         for c1, cl in enumerate(fam):
+            # For every cluster c2, the least d(p, q) from cl and the
+            # first (p, q) to reach it; the largest within cl likewise.
+            near = np.full(len(fam), np.iinfo(np.int64).max)
+            near_p, near_q = np.zeros_like(near), np.zeros_like(near)
+            widest = None
             for p in cl:
-                row = space.dist_row(int(p))
-                for c2 in range(c1 + 1, len(fam)):
-                    q = int(fam[c2][row[fam[c2]].argmin()])
-                    if (c1, c2) not in nearest or row[q] < nearest[c1, c2][0]:
-                        nearest[c1, c2] = (int(row[q]), int(p), q)
-                q = int(cl[row[cl].argmax()])
-                if c1 not in widest or row[q] > widest[c1][0]:
-                    widest[c1] = (int(row[q]), int(p), q)
-        for (c1, c2), (d, p, q) in sorted(nearest.items()):
-            if d <= lam:
-                found.append(Violation("family-separation", (f, c1, c2, p, q), d))
-        for c, (d, p, q) in sorted(widest.items()):
-            if d > control:
-                found.append(Violation("cluster-diameter", (f, c, p, q), d))
+                row = space.dist_row(int(p))[points]
+                least = np.minimum.reduceat(row, starts)
+                hits = np.flatnonzero(row == np.repeat(least, lens))
+                q = points[hits[np.searchsorted(hits, starts)]]
+                better = least < near
+                near[better], near_p[better], near_q[better] = \
+                    least[better], p, q[better]
+                own = row[starts[c1]:starts[c1] + len(cl)]
+                k = int(own.argmax())
+                if widest is None or own[k] > widest[0]:
+                    widest = (int(own[k]), int(p), int(cl[k]))
+            for c2 in c1 + 1 + np.flatnonzero(near[c1 + 1:] <= lam):
+                found.append(Violation(
+                    "family-separation",
+                    (f, c1, int(c2), int(near_p[c2]), int(near_q[c2])),
+                    int(near[c2])))
+            if widest[0] > control:
+                wide.append(Violation("cluster-diameter",
+                                      (f, c1) + widest[1:], widest[0]))
+        found += wide
     return ValidationReport(tuple(found[:covers.MAX_VIOLATIONS]))
 
 
@@ -333,6 +348,8 @@ def _corruptions(cover, seed):
     ("sum(circle(3,1),circle(9,2),circle(27,10),circle(4,140))", 139, 278),
     ("sum(circle(9,2),circle(27,10),circle(9,140))", 139, 278),
     ("group(3,3)", 9, 18),
+    ("scale(group(3,3),2)", 18, 36),
+    ("sum(circle(2500,1),interval(1,3))", 1, 2),
 ])
 def test_block_scan_equals_reference_scan(spec, lam, control, monkeypatch):
     space = build_space(parse_spec(spec))
@@ -342,39 +359,117 @@ def test_block_scan_equals_reference_scan(spec, lam, control, monkeypatch):
     assert expected[0].ok and sum(not r.ok for r in expected) >= 4
     # Blocks of whole clusters; of about a third of the largest cluster,
     # which leaves a shorter last block; of one row, which reads a row
-    # per point and so runs on the smaller spaces only.
+    # per point and so runs on the smaller spaces only.  The hull bound
+    # reads the factors of the checks with more pairs than a block holds
+    # block by block.
     largest = max(len(cl) for fam in cover.families for cl in fam)
     block_sizes = [spaces._SCAN_ELEMS, largest * (largest // 3 + 1)]
     if space.size <= 2187:
         block_sizes.append(1)
     for elems in block_sizes:
         monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
+        monkeypatch.setattr(covers, "_HULL_PAIRS", elems)
         assert [validate_cover(space, cv) for cv in cases] == expected
+
+
+def _count_extremes(monkeypatch):
+    """The argument tuples of every _first_extreme call from now on."""
+    calls, first_extreme = [], covers._first_extreme
+
+    def counting_extreme(*args, **kwargs):
+        calls.append(args)
+        return first_extreme(*args, **kwargs)
+
+    monkeypatch.setattr(covers, "_first_extreme", counting_extreme)
+    return calls
 
 
 def test_one_pivot_scan_per_family(monkeypatch):
     """The pivot bounds of a family come from one scan: the space binds
-    one reader per family, and one per pair or cluster left open."""
-    space = build_space(parse_spec("group(3,3)"))
-    cover = dim_at_scale(space, 9, 18).certificate
+    one reader per family, and one per pair or cluster left open.  The
+    space is a relabelled copy of group(3,3), the same metric with no
+    structure, so no hull bound closes the pairs the pivots leave open."""
+    group = build_space(parse_spec("group(3,3)"))
+    cover = dim_at_scale(group, 9, 18).certificate
     assert [len(fam) for fam in cover.families] == [27]
-    binds, extremes = [], []
-    reader, first_extreme = FiniteMetricSpace._reader, covers._first_extreme
+    space = relabel(group, range(group.size))
+    assert space.structure is None and space.metric_guaranteed
+    binds, reader = [], FiniteMetricSpace._reader
 
     def counting_reader(self, cols):
         if self is space:
             binds.append(cols)
         return reader(self, cols)
 
-    def counting_extreme(*args, **kwargs):
-        extremes.append(args)
-        return first_extreme(*args, **kwargs)
-
     monkeypatch.setattr(FiniteMetricSpace, "_reader", counting_reader)
-    monkeypatch.setattr(covers, "_first_extreme", counting_extreme)
+    extremes = _count_extremes(monkeypatch)
     assert validate_cover(space, cover).ok
     assert extremes
     assert len(binds) == len(cover.families) + len(extremes)
+
+
+@pytest.mark.parametrize("spec, lam, control", [
+    ("group(3,3)", 9, 18),
+    ("group(3,4)", 139, 278),
+    ("sum(circle(2500,1),interval(1,3))", 1, 2),
+])
+def test_sum_covers_need_no_exhaustive_scan(spec, lam, control,
+                                            monkeypatch):
+    """What the pivot bounds leave open on these sums' certificates, the
+    hull bound settles: neighbouring product clusters exactly lam + 1
+    apart, and small clusters whose pivot rows overestimate them."""
+    space = build_space(parse_spec(spec))
+    cover = dim_at_scale(space, lam, control).certificate
+    extremes = _count_extremes(monkeypatch)
+    assert validate_cover(space, cover).ok
+    assert extremes == []
+
+
+def _oracle_sum():
+    """A sum of two hand-built oracles, neither symmetric nor a metric."""
+    left = FiniteMetricSpace(4, lambda i, j: (3 * i + 5 * j) % 7,
+                             basepoint=0)
+    right = FiniteMetricSpace(3, lambda i, j: 2 * i + j + (i == j),
+                              basepoint=1)
+    return l1_sum([left, right])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_space(parse_spec("group(3,3)")),
+    lambda: build_space(parse_spec("scale(group(3,3),2)")),
+    lambda: l1_sum([l1_sum([cyclic_group(3, 1), interval(2, 3)]),
+                    cyclic_group(5, 2)]),
+    _oracle_sum,
+], ids=["group", "scaled", "nested", "oracles"])
+@pytest.mark.parametrize("pairs", [covers._HULL_PAIRS, 0])
+def test_hull_bounds_against_the_oracle(make, pairs, monkeypatch):
+    """Over every pair of some products of factor sets and some random
+    sets, the hull bounds bracket the least and the largest distance
+    read from the scalar oracle, and meet them on two products; with
+    _HULL_PAIRS 0 every factor term is read block by block."""
+    monkeypatch.setattr(covers, "_HULL_PAIRS", pairs)
+    space = make()
+    kind, factors = space.structure
+    assert kind == "sum"
+    rng = random.Random(space.label)
+    sets, products = [], []
+    for _ in range(8):
+        picks = [rng.sample(range(g.size), rng.randint(1, min(g.size, 2)))
+                 for g in factors]
+        sets.append(spaces.l1_blocks(factors, [[p] for p in picks])[0])
+        sets.append(rng.sample(range(space.size), rng.randint(1, 5)))
+        products += [True, False]
+    arrays = [np.array(sorted(s), dtype=np.intp) for s in sets]
+    a, b = np.array([(i, j) for i in range(len(sets))
+                     for j in range(len(sets))]).T
+    proj = covers._projections(factors, arrays)
+    low = covers._hull_bounds(factors, proj, a, b, largest=False)
+    high = covers._hull_bounds(factors, proj, a, b, largest=True)
+    for k, (i, j) in enumerate(zip(a, b)):
+        d = [space.dist(p, q) for p in sets[i] for q in sets[j]]
+        assert low[k] <= min(d) and high[k] >= max(d)
+        if products[i] and products[j]:
+            assert (low[k], high[k]) == (min(d), max(d))
 
 
 @pytest.mark.parametrize("elems", [1, 2, spaces._SCAN_ELEMS])
