@@ -33,13 +33,19 @@ sum, with proj_f(A) the coordinates of A's points in factor f,
 
 with equality when A and B are the products of their projections.  The
 bound needs no triangle inequality, so it serves sums of hand-built
-oracles too.  Each family's projections are computed once, and the
-factor terms of its open checks are read through the factors' own
-``row_blocks``, a batch of checks at a time.  What both bounds leave
-open is scanned exhaustively, block by block; only that scan reports
-violations, and it keeps the first extreme pair in point order whatever
-the blocks, so a report does not depend on which pairs the bounds
-settled.
+oracles too.  Each family's projections are computed once.  A factor
+term is read through the factor's own ``row_blocks``, for a run of
+checks at once: their rows laid end to end against their columns laid
+end to end, within one block of distances unless the run is a single
+check, and one check at a time on a factor served by a bare oracle.
+``np.minimum.reduceat`` over the column offsets gives each row its
+least distance to every check's columns, of which it keeps its own
+check's.
+
+What both bounds leave open is scanned exhaustively, block by block;
+only that scan reports violations, and it keeps the first extreme pair
+in point order whatever the blocks, so a report does not depend on
+which pairs the bounds settled.
 """
 
 from __future__ import annotations
@@ -50,16 +56,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import spaces
 from .spaces import FiniteMetricSpace, ScalePair
 
 CERTIFICATE_HEADER = "scaled-cover 1"
 MAX_VIOLATIONS = 16  # validate_cover reports at most this many
 # The product-hull bound takes a family's open checks this many at a
-# time, and expands a check pair by pair on a factor only when its two
-# projections there make at most _HULL_PAIRS pairs; a larger product is
-# read from the factor block by block.
+# time.
 _HULL_BATCH = 64
-_HULL_PAIRS = 2**12
 
 
 @dataclass(frozen=True)
@@ -226,44 +230,54 @@ def _hull_bounds(factors: Sequence[FiniteMetricSpace],
     largest) factor distance from cluster a[k]'s projection to cluster
     b[k]'s: at most the least distance from a[k] to b[k] (at least the
     largest), and equal to it when both clusters are products."""
-    top, extreme = (np.max, np.maximum) if largest else (np.min, np.minimum)
+    extreme = np.maximum if largest else np.minimum
     bound = np.zeros(len(a), dtype=np.int64)
     for g, (coords, off) in zip(factors, proj):
-        count = (off[a + 1] - off[a]) * (off[b + 1] - off[b])
-        for k in np.flatnonzero(count > _HULL_PAIRS):
-            blocks = g.row_blocks(coords[off[a[k]]:off[a[k] + 1]],
-                                  coords[off[b[k]]:off[b[k] + 1]])
-            bound[k] += top([top(block) for _, block in blocks])
-        small = np.flatnonzero(count <= _HULL_PAIRS)
-        if not len(small):
-            continue
-        # The small checks' pairs laid end to end: for a check with
-        # projections P and Q, t runs over len(P) * len(Q) row-major.
-        count = count[small]
-        starts = np.cumsum(count) - count
-        t = np.arange(starts[-1] + count[-1]) - np.repeat(starts, count)
-        width = np.repeat(off[b[small] + 1] - off[b[small]], count)
-        x = coords[np.repeat(off[a[small]], count) + t // width]
-        y = coords[np.repeat(off[b[small]], count) + t % width]
-        bound[small] += extreme.reduceat(_pairwise(g, x, y), starts)
+        # A bare oracle makes a call per distance: there each check is
+        # read on its own, so that no pair beyond its own is read.
+        budget = spaces._SCAN_ELEMS if g.has_fast_rows() else 0
+        for lo, hi in _read_groups(off[a + 1] - off[a], off[b + 1] - off[b],
+                                   budget):
+            rows, row_starts = _segments(coords, off, a[lo:hi])
+            cols, col_starts = _segments(coords, off, b[lo:hi])
+            owner = np.repeat(np.arange(hi - lo),
+                              np.diff(row_starts, append=len(rows)))
+            # Each row's extreme over its own check's columns.
+            line = np.empty(len(rows), dtype=np.int64)
+            for start, block in g.row_blocks(rows, cols):
+                stop = start + len(block)
+                line[start:stop] = extreme.reduceat(
+                    block, col_starts, axis=1)[np.arange(len(block)),
+                                               owner[start:stop]]
+            bound[lo:hi] += extreme.reduceat(line, row_starts)
     return bound
 
 
-def _pairwise(space: FiniteMetricSpace, x: np.ndarray,
-              y: np.ndarray) -> np.ndarray:
-    """d(x[k], y[k]) for each k, from one ``row_blocks`` scan of the
-    distinct x against the distinct y."""
-    order = np.argsort(x)
-    xs, ys = x[order], np.sort(y)
-    first = _run_starts(xs)
-    rows, i = xs[first], np.cumsum(first) - 1
-    cols = ys[_run_starts(ys)]
-    j = np.searchsorted(cols, y[order])
-    out = np.empty(len(x), dtype=np.int64)
-    for start, block in space.row_blocks(rows, cols):
-        lo, hi = np.searchsorted(i, [start, start + len(block)])
-        out[order[lo:hi]] = block[i[lo:hi] - start, j[lo:hi]]
-    return out
+def _read_groups(rows: np.ndarray, cols: np.ndarray,
+                 budget: int) -> Iterator[tuple[int, int]]:
+    """Runs [lo, hi) of consecutive checks, with rows[k] x cols[k]
+    factor distances each, whose rows laid end to end against their
+    columns laid end to end make at most ``budget`` distances, or of
+    one check.  One ``row_blocks`` scan reads a run, so with a budget
+    of one block the pairs it reads beyond the checks' own fit in a
+    block."""
+    lo = height = width = 0
+    for k, (h, w) in enumerate(zip(rows.tolist(), cols.tolist())):
+        height, width = height + h, width + w
+        if height * width > budget and k > lo:
+            yield lo, k
+            lo, height, width = k, h, w
+    yield lo, len(rows)
+
+
+def _segments(coords: np.ndarray, off: np.ndarray,
+              ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """coords[off[i]:off[i + 1]] for each i in ids, laid end to end,
+    and where each starts."""
+    count = off[ids + 1] - off[ids]
+    starts = np.cumsum(count) - count
+    return (coords[np.arange(starts[-1] + count[-1])
+                   + np.repeat(off[ids] - starts, count)], starts)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

@@ -360,15 +360,14 @@ def test_block_scan_equals_reference_scan(spec, lam, control, monkeypatch):
     # Blocks of whole clusters; of about a third of the largest cluster,
     # which leaves a shorter last block; of one row, which reads a row
     # per point and so runs on the smaller spaces only.  The hull bound
-    # reads the factors of the checks with more pairs than a block holds
-    # block by block.
+    # reads its factor terms in the same blocks, a run of checks at a
+    # time, so the smaller blocks split its runs too.
     largest = max(len(cl) for fam in cover.families for cl in fam)
     block_sizes = [spaces._SCAN_ELEMS, largest * (largest // 3 + 1)]
     if space.size <= 2187:
         block_sizes.append(1)
     for elems in block_sizes:
         monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
-        monkeypatch.setattr(covers, "_HULL_PAIRS", elems)
         assert [validate_cover(space, cv) for cv in cases] == expected
 
 
@@ -384,6 +383,19 @@ def _count_extremes(monkeypatch):
     return calls
 
 
+def _count_binds(monkeypatch, space):
+    """The columns of every reader ``space`` binds from now on."""
+    binds, reader = [], FiniteMetricSpace._reader
+
+    def counting_reader(self, cols):
+        if self is space:
+            binds.append(cols)
+        return reader(self, cols)
+
+    monkeypatch.setattr(FiniteMetricSpace, "_reader", counting_reader)
+    return binds
+
+
 def test_one_pivot_scan_per_family(monkeypatch):
     """The pivot bounds of a family come from one scan: the space binds
     one reader per family, and one per pair or cluster left open.  The
@@ -394,14 +406,7 @@ def test_one_pivot_scan_per_family(monkeypatch):
     assert [len(fam) for fam in cover.families] == [27]
     space = relabel(group, range(group.size))
     assert space.structure is None and space.metric_guaranteed
-    binds, reader = [], FiniteMetricSpace._reader
-
-    def counting_reader(self, cols):
-        if self is space:
-            binds.append(cols)
-        return reader(self, cols)
-
-    monkeypatch.setattr(FiniteMetricSpace, "_reader", counting_reader)
+    binds = _count_binds(monkeypatch, space)
     extremes = _count_extremes(monkeypatch)
     assert validate_cover(space, cover).ok
     assert extremes
@@ -417,12 +422,16 @@ def test_sum_covers_need_no_exhaustive_scan(spec, lam, control,
                                             monkeypatch):
     """What the pivot bounds leave open on these sums' certificates, the
     hull bound settles: neighbouring product clusters exactly lam + 1
-    apart, and small clusters whose pivot rows overestimate them."""
+    apart, and small clusters whose pivot rows overestimate them.  The
+    hull reads the factors, so the sum binds one reader per family, for
+    its pivot scan."""
     space = build_space(parse_spec(spec))
     cover = dim_at_scale(space, lam, control).certificate
+    binds = _count_binds(monkeypatch, space)
     extremes = _count_extremes(monkeypatch)
     assert validate_cover(space, cover).ok
     assert extremes == []
+    assert len(binds) == len(cover.families)
 
 
 def _oracle_sum():
@@ -441,13 +450,14 @@ def _oracle_sum():
                     cyclic_group(5, 2)]),
     _oracle_sum,
 ], ids=["group", "scaled", "nested", "oracles"])
-@pytest.mark.parametrize("pairs", [covers._HULL_PAIRS, 0])
-def test_hull_bounds_against_the_oracle(make, pairs, monkeypatch):
+@pytest.mark.parametrize("elems", [spaces._SCAN_ELEMS, 40, 1])
+def test_hull_bounds_against_the_oracle(make, elems, monkeypatch):
     """Over every pair of some products of factor sets and some random
     sets, the hull bounds bracket the least and the largest distance
-    read from the scalar oracle, and meet them on two products; with
-    _HULL_PAIRS 0 every factor term is read block by block."""
-    monkeypatch.setattr(covers, "_HULL_PAIRS", pairs)
+    read from the scalar oracle, and meet them on two products: with
+    the checks read in long runs, in runs of a few checks and blocks of
+    a few rows, and each on its own, a row a block."""
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
     space = make()
     kind, factors = space.structure
     assert kind == "sum"
@@ -470,6 +480,58 @@ def test_hull_bounds_against_the_oracle(make, pairs, monkeypatch):
         assert low[k] <= min(d) and high[k] >= max(d)
         if products[i] and products[j]:
             assert (low[k], high[k]) == (min(d), max(d))
+
+
+def test_read_groups_fill_a_block():
+    """Each run of checks the hull reads at once makes at most the
+    budget of distances, or is one check, and takes the next check
+    whenever the budget allows."""
+    rng = random.Random(5)
+    rows = np.array([rng.choice([1, 2, 7, 40]) for _ in range(200)])
+    cols = np.array([rng.choice([1, 3, 9, 50]) for _ in range(200)])
+    for budget in [0, 1, 60, 2000]:
+        runs = list(covers._read_groups(rows, cols, budget))
+        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+        assert runs[-1][1] == len(rows)
+        for lo, hi in runs:
+            assert (hi - lo == 1
+                    or rows[lo:hi].sum() * cols[lo:hi].sum() <= budget)
+            if hi < len(rows):
+                assert rows[lo:hi + 1].sum() * cols[lo:hi + 1].sum() > budget
+
+
+def test_hull_reads_only_its_checks_pairs_from_a_bare_oracle():
+    """A factor above the matrix limit served by a bare oracle makes a
+    call per distance, so the hull reads each check there on its own:
+    one call per pair of the check's two projections, none across
+    checks."""
+    calls = []
+
+    def oracle(i, j):
+        calls.append((i, j))
+        return abs(i - j)
+
+    size = spaces.MATRIX_CACHE_LIMIT + 1
+    line = FiniteMetricSpace(size, oracle, basepoint=0,
+                             diameter_hint=size - 1)
+    space = l1_sum([line, cyclic_group(3, 1)])
+    assert not space.structure[1][0].has_fast_rows()
+    calls.clear()
+    rng = random.Random(0)
+    arrays = [np.array(sorted(rng.sample(range(space.size), 6)),
+                       dtype=np.intp) for _ in range(8)]
+    factors = space.structure[1]
+    proj = covers._projections(factors, arrays)
+    coords, off = proj[0]
+    a, b = np.arange(0, 8, 2), np.arange(1, 8, 2)
+    low = covers._hull_bounds(factors, proj, a, b, largest=False)
+    expected = [(int(p), int(q)) for i, j in zip(a, b)
+                for p in coords[off[i]:off[i + 1]]
+                for q in coords[off[j]:off[j + 1]]]
+    assert sorted(calls) == sorted(expected)
+    for k, (i, j) in enumerate(zip(a, b)):
+        assert low[k] <= min(space.dist(int(p), int(q))
+                             for p in arrays[i] for q in arrays[j])
 
 
 @pytest.mark.parametrize("elems", [1, 2, spaces._SCAN_ELEMS])
