@@ -39,8 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .covers import ScaledCover, validate_cover
-from .spaces import (DEFAULT_PRODUCT_CAP, MATRIX_CACHE_LIMIT, FiniteMetricSpace,
-                     ScalePair, l1_blocks, random_metric_space, wedge_points)
+from .spaces import (DEFAULT_PRODUCT_CAP, FiniteMetricSpace, ScalePair,
+                     l1_blocks, random_metric_space, wedge_points)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -164,12 +164,17 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
     if subset is None:
         if space.size == 0:
             return ComponentPartition((), ())
-        # Known-discrete spaces split into singletons without any BFS.
+        # Known-discrete spaces split into singletons without any BFS,
+        # and spaces known to be connected at lam form one block.
         minpos = space.known_min_positive
         if minpos is not None and minpos > lam:
             return ComponentPartition(
                 tuple((i,) for i in range(space.size)),
                 (0,) * space.size)
+        step = space.known_chain_step
+        if step is not None and step <= lam:
+            return ComponentPartition((tuple(range(space.size)),),
+                                      (space.diameter(),))
         if space.structure is not None:
             kind, factors = space.structure
             if kind == "sum":
@@ -377,12 +382,10 @@ class SearchOutcome:
 def _search_order(space: FiniteMetricSpace, lam: int,
                   control: int) -> tuple[list[int], _Neighbours]:
     # The search order, most lam-neighbours first, and the row table,
-    # which the ordering pass fills block by block.  Densify first where
-    # allowed: that pass reads every row.  Above _DEGREE_ORDER_LIMIT the
-    # order is the index order and rows are read as the search visits.
+    # which the ordering pass fills block by block.  Above
+    # _DEGREE_ORDER_LIMIT the order is the index order and rows are read
+    # as the search visits.
     m = space.size
-    if m <= MATRIX_CACHE_LIMIT:
-        space.densify()
     rows = _Neighbours(space, lam, control)
     if m > _DEGREE_ORDER_LIMIT:
         return list(range(m)), rows

@@ -23,6 +23,11 @@ wedge reads each arm's block and goes through the wedge point between
 arms, and ``sub``, ``scale`` and ``relabel`` bind the mapped columns in
 the space they wrap.  ``scale`` of a sum or a wedge is the sum or wedge
 of its scaled factors.
+
+Constructors also pass what they know in closed form: the diameter, the
+least positive distance and the chain step, the least lam at which the
+whole space is one lam-component (``known_chain_step``), so that a
+connected leaf, sum or wedge needs no component scan.
 """
 
 from __future__ import annotations
@@ -90,6 +95,16 @@ class FiniteMetricSpace:
     ``structure`` is ("sum", factors) for an l1 sum, ("wedge", factors)
     for a wedge and None for any other space; factors are in index order.
 
+    ``known_min_positive`` and ``known_chain_step`` are the least and
+    the largest weight of a minimum spanning tree, when known without a
+    scan: the ``min_positive_hint`` and ``chain_step_hint`` arguments.
+    Below the first every point is its own lam-component; from the
+    second on the space is one.  ``interval(k, a)`` and ``circle(m, a)``
+    have step a, a scaled leaf a times its step, a relabelling its
+    space's step, and a sum or wedge the largest step of its factors
+    (0 for a one-point factor, None when any factor's is None).
+    Subspaces, matrices and bare oracles have none.
+
     ``metric_guaranteed`` is True only when the constructor knows that the
     oracle obeys the triangle inequality: the library constructors of
     metrics, sums and wedges of such spaces, their subspaces, scalings
@@ -98,13 +113,15 @@ class FiniteMetricSpace:
     """
 
     __slots__ = ("size", "basepoint", "label", "_oracle", "_blocks",
-                 "_matrix", "_diam", "_minpos", "_structure", "_metric")
+                 "_matrix", "_diam", "_minpos", "_step", "_structure",
+                 "_metric")
 
     def __init__(self, size: int, oracle: Callable[[int, int], int], *,
                  basepoint: Optional[int] = None, label: str = "space",
                  blocks: Optional[Callable] = None,
                  diameter_hint: Optional[int] = None,
-                 min_positive_hint: Optional[int] = None):
+                 min_positive_hint: Optional[int] = None,
+                 chain_step_hint: Optional[int] = None):
         if not isinstance(size, int) or size < 0:
             raise ValueError(f"size must be a nonnegative integer, got {size!r}")
         if basepoint is not None and not (0 <= basepoint < size):
@@ -117,6 +134,7 @@ class FiniteMetricSpace:
         self._matrix: Optional[np.ndarray] = None
         self._diam = diameter_hint
         self._minpos = min_positive_hint
+        self._step = chain_step_hint
         self._structure: Optional[tuple] = None
         self._metric = False
 
@@ -134,6 +152,14 @@ class FiniteMetricSpace:
         without a scan: the constructor's hint, or the value an earlier
         ``min_positive_distance`` call computed.  None otherwise."""
         return self._minpos
+
+    @property
+    def known_chain_step(self) -> Optional[int]:
+        """The least lam at which the whole space is one lam-component,
+        the largest weight of a minimum spanning tree, when the
+        constructor knows it (``known_min_positive`` is the least
+        weight).  None otherwise: no scan ever fills it in."""
+        return self._step
 
     # -- queries ---------------------------------------------------------
 
@@ -416,7 +442,7 @@ def interval(k: int, a: int = 1) -> FiniteMetricSpace:
     space = FiniteMetricSpace(k + 1, lambda i, j: a * abs(i - j),
                               basepoint=0, label=f"interval({k},{a})",
                               blocks=blocks, diameter_hint=a * k,
-                              min_positive_hint=a)
+                              min_positive_hint=a, chain_step_hint=a)
     space._metric = True
     return space
 
@@ -452,9 +478,17 @@ def cyclic_group(m: int, a: int = 1) -> FiniteMetricSpace:
 
     space = FiniteMetricSpace(m, oracle, basepoint=0, label=f"circle({m},{a})",
                               blocks=blocks, diameter_hint=a * (m // 2),
-                              min_positive_hint=a)
+                              min_positive_hint=a, chain_step_hint=a)
     space._metric = True
     return space
+
+
+def _joint_chain_step(factors: Sequence[FiniteMetricSpace]) -> Optional[int]:
+    # A sum or a wedge is one lam-component exactly when each factor is:
+    # two points in different lam-components of a factor are more than
+    # lam apart in the sum, and in the wedge too, through the wedge point.
+    steps = [0 if sp.size == 1 else sp.known_chain_step for sp in factors]
+    return None if None in steps else max(steps)
 
 
 def wedge(spaces: Sequence[FiniteMetricSpace], *,
@@ -538,7 +572,8 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
     space = FiniteMetricSpace(
         size, oracle, basepoint=0,
         label=label or "wedge(" + ",".join(sp.label for sp in spaces) + ")",
-        blocks=blocks, diameter_hint=diam, min_positive_hint=minpos)
+        blocks=blocks, diameter_hint=diam, min_positive_hint=minpos,
+        chain_step_hint=_joint_chain_step(spaces))
     space._structure = ("wedge", tuple(spaces))
     space._metric = all(sp.metric_guaranteed for sp in spaces)
     return space
@@ -649,7 +684,8 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
     space = FiniteMetricSpace(
         total, oracle, basepoint=base,
         label=label or "sum(" + ",".join(sp.label for sp in spaces) + ")",
-        blocks=blocks, diameter_hint=diam, min_positive_hint=minpos)
+        blocks=blocks, diameter_hint=diam, min_positive_hint=minpos,
+        chain_step_hint=_joint_chain_step(spaces))
     space._structure = ("sum", tuple(spaces))
     space._metric = all(sp.metric_guaranteed for sp in spaces)
     return space
@@ -658,7 +694,8 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
 def _index_map(space: FiniteMetricSpace, index: Optional[np.ndarray], a: int,
                label: str, basepoint: Optional[int], *,
                diameter_hint: Optional[int] = None,
-               min_positive_hint: Optional[int] = None) -> FiniteMetricSpace:
+               min_positive_hint: Optional[int] = None,
+               chain_step_hint: Optional[int] = None) -> FiniteMetricSpace:
     """The space whose point i is ``space``'s point index[i] (i itself
     when index is None), with every distance multiplied by a."""
     ids = range(space.size) if index is None else index.tolist()
@@ -675,7 +712,8 @@ def _index_map(space: FiniteMetricSpace, index: Optional[np.ndarray], a: int,
 
     mapped = FiniteMetricSpace(len(ids), oracle, basepoint=basepoint, label=label,
                                blocks=blocks, diameter_hint=diameter_hint,
-                               min_positive_hint=min_positive_hint)
+                               min_positive_hint=min_positive_hint,
+                               chain_step_hint=chain_step_hint)
     mapped._metric = space.metric_guaranteed
     return mapped
 
@@ -716,8 +754,10 @@ def scale(space: FiniteMetricSpace, a: int) -> FiniteMetricSpace:
     minpos = None
     if space.size >= 2:
         minpos = a * space.min_positive_distance()
+    step = space.known_chain_step
     return _index_map(space, None, a, label, space.basepoint,
-                      diameter_hint=diam, min_positive_hint=minpos)
+                      diameter_hint=diam, min_positive_hint=minpos,
+                      chain_step_hint=None if step is None else a * step)
 
 
 def relabel(space: FiniteMetricSpace, perm: Sequence[int]) -> FiniteMetricSpace:
@@ -727,7 +767,8 @@ def relabel(space: FiniteMetricSpace, perm: Sequence[int]) -> FiniteMetricSpace:
         raise ValueError("perm must be a permutation of 0..size-1")
     base = None if space.basepoint is None else perm[space.basepoint]
     return _index_map(space, np.argsort(perm), 1, f"relabel({space.label})", base,
-                      diameter_hint=space._diam, min_positive_hint=space._minpos)
+                      diameter_hint=space._diam, min_positive_hint=space._minpos,
+                      chain_step_hint=space._step)
 
 
 def random_metric_space(n_points: int, rng, *, max_entry: int = 9,

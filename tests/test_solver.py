@@ -78,6 +78,73 @@ def test_components_product_path_matches_generic():
         slow = lambda_components(mixed, lam, range(mixed.size))
         assert fast.blocks == slow.blocks, lam
         assert fast.diameters == slow.diameters, lam
+    # Spaces with a known chain step form one block from it on, with no
+    # scan: just below, at and just above it, against the plain BFS.  A
+    # sum with a stepless factor has no step and is checked at all its
+    # distances.
+    stepped = [interval(5, 2), cyclic_group(7, 3), scale(cyclic_group(7, 3), 2),
+               relabel(cyclic_group(6, 2), perm),
+               wedge([interval(3, 2), cyclic_group(5, 1)]),
+               l1_sum([interval(3, 2), subspace(interval(2, 1), [0])]),
+               l1_sum([cyclic_group(5, 1), from_matrix(rows, basepoint=2)])]
+    for sp in stepped:
+        step = sp.known_chain_step
+        lams = ({step - 1, step, step + 1} if step is not None else
+                {int(v) for i in range(sp.size) for v in sp.dist_row(i)})
+        for lam in sorted(lams):
+            fast = lambda_components(sp, lam)
+            slow = lambda_components(sp, lam, range(sp.size))
+            assert fast.blocks == slow.blocks, (sp.label, lam)
+            assert fast.diameters == slow.diameters, (sp.label, lam)
+
+
+def test_known_chain_step_is_where_the_space_joins_up(monkeypatch):
+    rows = [[0, 7, 7, 1], [7, 0, 5, 8], [7, 5, 0, 8], [1, 8, 8, 0]]
+    one_point = subspace(interval(2, 1), [0])
+    cases = [
+        (interval(5, 2), 2),
+        (cyclic_group(7, 3), 3),
+        (scale(cyclic_group(7, 3), 2), 6),
+        (scale(interval(4, 1), 3), 3),
+        (relabel(cyclic_group(5, 4), [3, 0, 4, 1, 2]), 4),
+        (relabel(l1_sum([interval(2, 1), cyclic_group(3, 2)]),
+                 list(range(9))[::-1]), 2),
+        (wedge([interval(3, 2), cyclic_group(5, 1)]), 2),
+        (wedge([cyclic_group(4, 3), one_point]), 3),
+        (l1_sum([interval(3, 2), cyclic_group(4, 5)]), 5),
+        (scale(l1_sum([interval(3, 2), cyclic_group(4, 5)]), 2), 10),
+        (l1_sum([interval(3, 2), one_point]), 2),
+        (l1_sum([one_point, one_point]), 0),
+        (l1_sum([interval(3, 2), from_matrix(rows, basepoint=0)]), None),
+        (wedge([interval(3, 2), subspace(interval(4, 1), [0, 2])]), None),
+        (scale(subspace(interval(5, 1), [0, 1, 3]), 2), None),
+        (subspace(interval(5, 1), [0, 1, 2]), None),
+        (from_matrix(rows), None),
+        (random_metric_space(6, 2), None),
+        (FiniteMetricSpace(5, lambda i, j: abs(i - j)), None),
+    ]
+    for sp, step in cases:
+        assert sp.known_chain_step == step, sp.label
+        if step:  # the plain BFS splits just below it and joins at it
+            assert len(lambda_components(sp, step - 1, range(sp.size)).blocks) > 1
+            assert len(lambda_components(sp, step, range(sp.size)).blocks) == 1
+    with pytest.raises(AttributeError):
+        sp.known_chain_step = 1
+    # A connected circle is one block with its hinted diameter, read
+    # without binding a single reader.  A bind fails at once, rather
+    # than after a scan of 10^10 distances.
+    big = cyclic_group(100000, 1)
+    binds = []
+
+    def refusing_reader(self, cols):
+        binds.append(cols)
+        raise AssertionError(f"{self.label} bound a reader")
+
+    monkeypatch.setattr(FiniteMetricSpace, "_reader", refusing_reader)
+    parts = lambda_components(big, 1)
+    assert parts.blocks == (tuple(range(big.size)),)
+    assert parts.diameters == (50000,)
+    assert binds == []
 
 
 def test_components_wedge_path_matches_generic(random_wedge):
@@ -360,7 +427,6 @@ def test_stored_masks_are_as_wide_as_their_index_span(monkeypatch):
     # of the index range, where the circle closes.
     sp = cyclic_group(3000, 1)
     want = dim_at_scale(cyclic_group(3000, 1), 1, 2)
-    monkeypatch.setattr(solver, "MATRIX_CACHE_LIMIT", sp.size // 2)
     classes = []
 
     class Recording(solver._ColorClass):
