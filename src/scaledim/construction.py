@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 from .covers import ScaledCover, validate_cover
 from .solver import DEFAULT_NODE_BUDGET, dim_at_scale, lambda_components
-from .spaces import (FiniteMetricSpace, cyclic_group, interval, l1_blocks,
-                     l1_sum, wedge, wedge_points)
+from .spaces import (DEFAULT_PRODUCT_CAP, FiniteMetricSpace, cyclic_group,
+                     interval, l1_blocks, l1_sum, wedge, wedge_points)
 
 SCHEDULE_MODES = ("group", "wedge", "interval-wedge")
 
@@ -84,13 +84,7 @@ def weight_schedule(p: int, levels: int, mode: str = "group") -> WeightSchedule:
     weights: list[int] = []
     eccs: list[int] = []
     for n in range(1, levels + 1):
-        if n == 1:
-            a_n = 1
-        elif mode == "group":
-            a_n = 1 + sum(eccs)
-        else:
-            top = sorted(eccs)[-2:]
-            a_n = 1 + sum(top)
+        a_n = 1 + (sum(eccs) if mode == "group" else sum(sorted(eccs)[-2:]))
         weights.append(a_n)
         eccs.append(_piece_eccentricity(p, n, a_n, mode))
         if mode != "interval-wedge" and p**n < 2 * (n + 1):
@@ -114,26 +108,37 @@ def truncation_factors(schedule: WeightSchedule) -> list[FiniteMetricSpace]:
     return out
 
 
+def _truncation(p: int, levels: int, mode: str, label: str) -> FiniteMetricSpace:
+    """The schedule's pieces, summed in group mode and wedged otherwise;
+    points are counted against the cap before the (slow) schedule."""
+    size = n = 1
+    while n <= levels and size <= DEFAULT_PRODUCT_CAP and p >= 2:
+        piece = n + 3 if mode == "interval-wedge" else p**n
+        size = size * piece if mode == "group" else size + piece - 1
+        n += 1
+    if size > DEFAULT_PRODUCT_CAP:
+        raise ValueError(f"{label} would have at least {size} points, "
+                         f"over the cap {DEFAULT_PRODUCT_CAP}")
+    glue = l1_sum if mode == "group" else wedge
+    return glue(truncation_factors(weight_schedule(p, levels, mode)), label=label)
+
+
 def group_truncation(p: int, levels: int) -> FiniteMetricSpace:
     """l1 direct sum of the first ``levels`` weighted cyclic groups
     Z_{p^n} under the group-mode schedule."""
-    schedule = weight_schedule(p, levels, "group")
-    return l1_sum(truncation_factors(schedule), label=f"group({p},{levels})")
+    return _truncation(p, levels, "group", f"group({p},{levels})")
 
 
 def wedge_truncation(p: int, levels: int) -> FiniteMetricSpace:
     """Wedge of the first ``levels`` weighted circles under the
     wedge-mode schedule."""
-    schedule = weight_schedule(p, levels, "wedge")
-    return wedge(truncation_factors(schedule),
-                 label=f"wedgegroup({p},{levels})")
+    return _truncation(p, levels, "wedge", f"wedgegroup({p},{levels})")
 
 
 def interval_wedge_truncation(levels: int) -> FiniteMetricSpace:
     """Wedge of weighted discrete intervals under the interval-wedge
     schedule (no circles, p plays no role)."""
-    schedule = weight_schedule(2, levels, "interval-wedge")
-    return wedge(truncation_factors(schedule), label=f"wedgeintervals({levels})")
+    return _truncation(2, levels, "interval-wedge", f"wedgeintervals({levels})")
 
 
 # -- distinguished subsets ---------------------------------------------------

@@ -2,27 +2,23 @@
 
 Points are the indices ``0..size-1``.  Distances come from a pure oracle
 function rather than a mandatory stored matrix, so large product spaces
-stay queryable without O(size^2) memory; a dense matrix is memoized
-lazily only for small spaces.  Every distance is an exact nonnegative
-integer below 2**62, so numpy arithmetic on it is exact too.
+stay queryable without O(size^2) memory.  Every distance is an exact
+nonnegative integer below 2**62, so numpy arithmetic on it is exact too.
 
-One block kernel serves every table of distances.  ``blocks(J)`` binds
-the columns J (all points when None) and returns a reader; the reader
-maps rows I to the table from I to J.  ``dist_block(I, J)`` applies one
-reader once and ``dist_row`` reads one row (or views a memoized
-matrix's row); ``row_blocks`` is the one bounded scan, and binds one
-reader for all its blocks.  Leaf spaces compute their tables: a
-memoized matrix by one gather, rows first, ``interval`` and ``circle``
-by a closed form in the bound columns, and a space built from a bare
-oracle by one call per pair.  Composite spaces compose their parts'
-tables.  A sum adds its factors' tables: over all points, each factor's
-block is added as the next digit; over picked columns, a factor with no
-more points than a block has rows is read once, whole, against the
-columns' digits, and every block takes whole rows of that table.  A
-wedge reads each arm's block and goes through the wedge point between
-arms, and ``sub``, ``scale`` and ``relabel`` bind the mapped columns in
-the space they wrap.  ``scale`` of a sum or a wedge is the sum or wedge
-of its scaled factors.
+Distances are served along two paths.  ``dist`` is the scalar oracle: a
+leaf computes the pair and a composite asks its parts' oracles, so no
+``dist`` reads a table that a kernel wrote.  One block kernel per space
+serves every table: ``blocks(J)`` binds the columns J (all points when
+None) and returns a reader, which maps rows I to a new table from I to
+J.  ``dist_block`` applies one reader once, ``dist_row`` is one row of
+it, and ``row_blocks``, the one bounded scan, binds one reader for all
+its blocks; every read is a new array.  Leaf spaces compute their tables
+(``interval`` and ``circle`` in closed form, a bare oracle once per
+pair), and a memoized matrix, from ``densify`` or a matrix constructor,
+is one more kernel.  A sum adds its factors' tables, a wedge goes
+through the wedge point between arms, and ``sub``, ``scale`` and
+``relabel`` bind the mapped columns in the space they wrap; ``scale`` of
+a sum or a wedge is the sum or wedge of its scaled factors.
 
 Constructors also pass what they know in closed form: the diameter, the
 least positive distance and the chain step, the least lam at which the
@@ -86,11 +82,11 @@ class FiniteMetricSpace:
     construction except internal memoization, so they are safe to share
     across computations.
 
-    ``blocks(J)`` is the block kernel: ``J`` is an intp array of points
-    or None for all points, and it returns a reader, which maps an intp
-    array ``I`` to a new ``len(I) x len(J)`` int64 table of their
-    distances.  A memoized matrix takes over from it; with neither, the
-    oracle serves every query (see the module docstring).
+    ``dist`` is the scalar oracle and never reads a kernel's table.
+    ``blocks(J)`` is the space's one block kernel: ``J`` is an intp array
+    of points or None for all points, and it returns a reader, which maps
+    an intp array ``I`` to a new ``len(I) x len(J)`` int64 table of their
+    distances; a memoized matrix is a kernel too (see the module docstring).
 
     ``structure`` is ("sum", factors) for an l1 sum, ("wedge", factors)
     for a wedge and None for any other space; factors are in index order.
@@ -164,39 +160,27 @@ class FiniteMetricSpace:
     # -- queries ---------------------------------------------------------
 
     def dist(self, i: int, j: int) -> int:
-        """Exact distance between points i and j."""
-        if self._matrix is not None:
-            return int(self._matrix[i, j])
+        """Exact distance between points i and j, from the oracle alone."""
         return self._oracle(i, j)
 
     def dist_row(self, i: int, targets=None) -> np.ndarray:
         """Distances from point i to ``targets`` (all points when None),
-        as an int64 array: a view of the memoized matrix's row, or one
-        row of ``dist_block``."""
-        if self._matrix is not None:
-            row = self._matrix[i]
-            return row if targets is None else row[np.asarray(targets, dtype=np.intp)]
+        as a new int64 array: one row of ``dist_block``."""
         return self.dist_block(np.array([i], dtype=np.intp), targets)[0]
 
     def dist_block(self, rows, cols=None) -> np.ndarray:
         """Distances from each point of ``rows`` to each point of ``cols``
         (all points when None), as a new len(rows) x len(cols) int64
         array: one read of the reader bound to ``cols``."""
-        rows = np.asarray(rows, dtype=np.intp)
+        return self._reader(cols)(np.asarray(rows, dtype=np.intp))
+
+    def _reader(self, cols) -> Callable:
+        """The reader bound to ``cols`` (points, or None for all points):
+        given an intp array I of points, it returns the new len(I) x
+        len(cols) int64 table of their distances.  The one place a bare
+        oracle serves more than one pair."""
         if cols is not None:
             cols = np.asarray(cols, dtype=np.intp)
-        return self._reader(cols)(rows)
-
-    def _reader(self, cols: Optional[np.ndarray]) -> Callable:
-        """The reader bound to ``cols`` (an intp array, or None for all
-        points): given an intp array I of points, it returns the new
-        len(I) x len(cols) int64 table of their distances.  The one
-        place a bare oracle serves more than one pair."""
-        mat = self._matrix
-        if mat is not None:  # rows first, the cheap order when rows are few
-            if cols is None:
-                return lambda I: mat.take(I, axis=0)
-            return lambda I: mat.take(I, axis=0).take(cols, axis=1)
         if self._blocks is not None:
             return self._blocks(cols)
         targets = range(self.size) if cols is None else cols.tolist()
@@ -210,10 +194,9 @@ class FiniteMetricSpace:
         return read
 
     def has_fast_rows(self) -> bool:
-        """False only for a space built from a bare oracle, with neither
-        a block kernel nor a memoized matrix: every library constructor
-        has a kernel."""
-        return self._blocks is not None or self._matrix is not None
+        """False only for a bare oracle never densified: every library
+        constructor has a kernel."""
+        return self._blocks is not None
 
     def row_blocks(self, rows=None, cols=None):
         """``dist_block(rows, cols)`` (all points for None) as (start,
@@ -222,8 +205,6 @@ class FiniteMetricSpace:
         read through one reader bound to ``cols``."""
         rows = (np.arange(self.size, dtype=np.intp) if rows is None
                 else np.asarray(rows, dtype=np.intp))
-        if cols is not None:
-            cols = np.asarray(cols, dtype=np.intp)
         width = self.size if cols is None else len(cols)
         step = max(1, _SCAN_ELEMS // max(1, width))
         read = self._reader(cols)
@@ -231,8 +212,8 @@ class FiniteMetricSpace:
             yield start, read(rows[start:start + step])
 
     def densify(self) -> np.ndarray:
-        """Build (and memoize) the full distance matrix.  Only allowed for
-        spaces of size <= MATRIX_CACHE_LIMIT."""
+        """Build and memoize the full distance matrix, which becomes the
+        block kernel.  Only for spaces of size <= MATRIX_CACHE_LIMIT."""
         if self._matrix is None:
             if self.size > MATRIX_CACHE_LIMIT:
                 raise ValueError(
@@ -241,7 +222,7 @@ class FiniteMetricSpace:
             mat = np.empty((self.size, self.size), dtype=np.int64)
             for start, block in self.row_blocks():
                 mat[start:start + len(block)] = block
-            self._matrix = mat
+            self._matrix, self._blocks = mat, _table_blocks(mat)
         return self._matrix
 
     def diameter(self) -> int:
@@ -385,11 +366,19 @@ def from_matrix(rows: Sequence[Sequence[int]], *, label: Optional[str] = None,
     return space
 
 
+def _table_blocks(mat: np.ndarray) -> Callable:
+    """The block kernel of a full distance table; rows first, the cheap
+    order when rows are few."""
+    return lambda J: (lambda I: mat.take(I, axis=0) if J is None
+                      else mat.take(I, axis=0).take(J, axis=1))
+
+
 def _matrix_space(mat: np.ndarray, label: str, basepoint: Optional[int], *,
                   metric: bool) -> FiniteMetricSpace:
     """A space served by a checked int64 distance table."""
     space = FiniteMetricSpace(len(mat), lambda i, j: int(mat[i, j]),
-                              basepoint=basepoint, label=label)
+                              basepoint=basepoint, label=label,
+                              blocks=_table_blocks(mat))
     space._matrix = mat
     space._metric = metric
     return space
@@ -511,7 +500,8 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
 
     # The layout, one entry per point: the arm it lies in (-1 for the
     # wedge point), its index within that arm, its distance to the wedge
-    # point.  Both the oracle and the block kernel read these arrays.
+    # point.  The block kernel reads all three, the oracle only the first
+    # two, so that no oracle reads a table that a kernel wrote.
     owner = np.full(size, -1, dtype=np.intp)
     local = np.zeros(size, dtype=np.intp)
     to_base = np.zeros(size, dtype=np.int64)
@@ -529,13 +519,18 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
             nearest.append(int(to_base[start:stop].min()))
         start = stop
 
+    def reach(k):  # d(k, wedge point), from k's arm's oracle
+        f = owner[k]
+        return 0 if f < 0 else spaces[f].dist(int(local[k]),
+                                              spaces[f].basepoint)
+
     def oracle(i, j):
         if i == j:
             return 0
         oi = owner[i]
         if oi >= 0 and oi == owner[j]:
             return spaces[oi].dist(int(local[i]), int(local[j]))
-        return int(to_base[i] + to_base[j])
+        return reach(i) + reach(j)
 
     def blocks(J):  # through the wedge point, except within one arm
         t = slice(None) if J is None else J
@@ -638,7 +633,7 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
             y //= s
         return total_d
 
-    for sp in spaces:  # small factors serve through their matrices
+    for sp in spaces:  # a small factor's kernel becomes its memoized table
         if sp.size <= MATRIX_CACHE_LIMIT:
             sp.densify()
 

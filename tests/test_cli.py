@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from scaledim import construction
 from scaledim.cli import main
 
 
@@ -56,6 +57,24 @@ def test_spaces_over_the_cap_exit_2(capsys, spec):
     assert code == 2
     assert out == ""
     assert "points, over the cap 1000000" in err
+
+
+@pytest.mark.parametrize("spec, size", [("group(3,2000)", 14348907),
+                                        ("group(3,5)", 14348907),
+                                        ("wedgegroup(3,3000)", 2391471)])
+def test_oversized_group_is_refused_before_its_schedule(capsys, monkeypatch,
+                                                        spec, size):
+    # The big-integer schedule of thousands of levels takes minutes, so
+    # the point count is checked first and the schedule is never built.
+    def no_schedule(*args):
+        raise AssertionError("weight_schedule called")
+
+    monkeypatch.setattr(construction, "weight_schedule", no_schedule)
+    code, out, err = run(capsys, "build", spec)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {spec} would have at least {size} points, "
+                   f"over the cap 1000000\n")
 
 
 @pytest.mark.parametrize("spec", ["group(2,64)", "wedgegroup(2,30)"])

@@ -115,6 +115,20 @@ def test_interval_wedge_truncation_shape():
     check_metric(iw)
 
 
+def test_truncations_over_the_cap_are_refused_by_their_point_count():
+    # Counted level by level, before the schedule: 1411 interval arms
+    # make 998989 points and a 1412th 1000403; a group level multiplies
+    # the count, 3**10 by 3**5 at level 5.
+    with pytest.raises(ValueError, match="at least 1000403 points, over"):
+        interval_wedge_truncation(1412)
+    with pytest.raises(ValueError, match="at least 14348907 points, over"):
+        group_truncation(3, 5)
+    with pytest.raises(ValueError, match="at least 1000001 points, over"):
+        group_truncation(10**6 + 1, 1)
+    with pytest.raises(ValueError, match="p must be an integer >= 2"):
+        wedge_truncation(1, 10**9)
+
+
 def test_axis_subsets_are_isometric_to_factors():
     # The scheduled circles have basepoint 0; the second sum has a
     # relabelled circle and a matrix factor with basepoints elsewhere,

@@ -282,11 +282,14 @@ def test_pruned_reports_equal_exact_on_random_covers():
 
 
 def _reference_report(space, cover):
-    """validate_cover's report from a plain scan: one full row per point,
-    nothing pruned, the first extreme pair in (p, q) order kept."""
+    """validate_cover's report from a plain scan: every row of each
+    cluster, a few whole rows per dist_block, against every point of its
+    family, nothing pruned, the first extreme pair in (p, q) order kept.
+    Whole rows take the kernels' all-points path, not the validator's."""
     lam, control = cover.scale.lam, cover.scale.control
+    covered = set().union(*(cl for fam in cover.families for cl in fam))
     found = [Violation("uncovered-point", (p,), 0) for p in range(space.size)
-             if not any(p in cl for fam in cover.families for cl in fam)]
+             if p not in covered]
     for f, fam in enumerate(cover.families):
         fam = [np.array(sorted(cl)) for cl in fam]
         if not fam:
@@ -294,29 +297,27 @@ def _reference_report(space, cover):
         lens = [len(cl) for cl in fam]
         starts = np.cumsum([0] + lens[:-1])
         points = np.concatenate(fam)
+        step = max(1, 2**16 // space.size)  # rows per read, for memory
         wide = []
         for c1, cl in enumerate(fam):
-            # For every cluster c2, the least d(p, q) from cl and the
-            # first (p, q) to reach it; the largest within cl likewise.
+            # The least d(p, q) from cl to every cluster and the largest
+            # within cl, with the first (p, q) to reach each.
             near = np.full(len(fam), np.iinfo(np.int64).max)
-            near_p, near_q = np.zeros_like(near), np.zeros_like(near)
-            widest = None
-            for p in cl:
-                row = space.dist_row(int(p))[points]
-                least = np.minimum.reduceat(row, starts)
-                hits = np.flatnonzero(row == np.repeat(least, lens))
-                q = points[hits[np.searchsorted(hits, starts)]]
-                better = least < near
-                near[better], near_p[better], near_q[better] = \
-                    least[better], p, q[better]
-                own = row[starts[c1]:starts[c1] + len(cl)]
-                k = int(own.argmax())
-                if widest is None or own[k] > widest[0]:
-                    widest = (int(own[k]), int(p), int(cl[k]))
+            widest = (-1,)
+            for lo in range(0, len(cl), step):
+                block = space.dist_block(cl[lo:lo + step])[:, points]
+                near = np.minimum(near, np.minimum.reduceat(
+                    block, starts, axis=1).min(axis=0))
+                own = block[:, starts[c1]:starts[c1] + len(cl)]
+                r, k = divmod(int(own.argmax()), len(cl))
+                if own[r, k] > widest[0]:
+                    widest = (int(own[r, k]), int(cl[lo + r]), int(cl[k]))
             for c2 in c1 + 1 + np.flatnonzero(near[c1 + 1:] <= lam):
+                pair = space.dist_block(cl, fam[c2])
+                r, k = divmod(int((pair == near[c2]).argmax()), lens[c2])
                 found.append(Violation(
                     "family-separation",
-                    (f, c1, int(c2), int(near_p[c2]), int(near_q[c2])),
+                    (f, c1, int(c2), int(cl[r]), int(fam[c2][k])),
                     int(near[c2])))
             if widest[0] > control:
                 wide.append(Violation("cluster-diameter",

@@ -615,3 +615,49 @@ def test_random_metric_space_matrices_are_pinned(seed, n, max_entry, matrix):
 def test_random_metric_space_refuses_entries_past_the_64_bit_range():
     with pytest.raises(ValueError, match="64-bit"):
         random_metric_space(4, 0, max_entry=2**61)
+
+
+def _faulty_leaf():
+    """circle(6,2) whose block kernel adds 1 to every table it reads,
+    while its oracle stays right."""
+    leaf = cyclic_group(6, 2)
+    good = leaf._blocks
+    leaf._blocks = lambda J: (lambda I: good(J)(I) + 1)
+    return leaf
+
+
+_ON_A_LEAF = {
+    "sum": lambda leaf: l1_sum([interval(2, 1), leaf]),
+    "wedge": lambda leaf: wedge([interval(2, 1), leaf, cyclic_group(4, 3)]),
+    "scale": lambda leaf: scale(leaf, 3),
+    "relabel": lambda leaf: relabel(leaf, [3, 0, 5, 1, 4, 2]),
+    "sub": lambda leaf: subspace(leaf, [0, 2, 3, 5]),
+}
+
+
+@pytest.mark.parametrize("build", _ON_A_LEAF.values(), ids=_ON_A_LEAF)
+def test_dist_reads_the_leaf_oracles_not_their_kernels(build):
+    # dist is the independent path: a fault in a leaf's kernel, which a
+    # sum's factor matrix or a wedge's distances to the wedge point are
+    # read through, must not reach any composite's dist.
+    faulty = _faulty_leaf()
+    assert faulty.dist_block([0, 1], [3])[:, 0].tolist() == [7, 5]
+    composite, clean = build(faulty), build(cyclic_group(6, 2))
+    all_pairs_equal(composite, clean)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_metric_space(5, 1),
+    lambda: from_matrix([[0, 2, 3, 1], [2, 0, 1, 3], [3, 1, 0, 2],
+                         [1, 3, 2, 0]]),
+    lambda: cyclic_group(7, 2),
+], ids=["random", "matrix", "densified-circle"])
+def test_rows_are_new_arrays(make):
+    sp = make()
+    sp.densify()
+    d01 = sp.dist(0, 1)
+    for row in (sp.dist_row(0), sp.dist_row(0, [1, 2])):
+        row[:] = 999
+    assert sp.dist(0, 1) == d01
+    assert sp.dist_block([0], [1]).tolist() == [[d01]]
+    assert sp.dist_row(0)[1] == d01
