@@ -17,6 +17,7 @@ dimension profile of a built space.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -405,7 +406,16 @@ def profile_csv(prof: Profile) -> str:
 
 
 def schedule_csv(schedule: WeightSchedule) -> str:
+    """The schedule as CSV.  A weight too long for the interpreter's
+    integer-to-text limit is a ValueError naming its level."""
     lines = ["n,a_n"]
     for n in range(1, schedule.levels + 1):
-        lines.append(f"{n},{schedule.weight(n)}")
+        a_n = schedule.weight(n)
+        try:
+            lines.append(f"{n},{a_n}")
+        except ValueError:
+            raise ValueError(
+                f"schedule level {n}: weight a_{n} has about "
+                f"{int(math.log10(a_n)) + 1} decimal digits, too many to "
+                f"print (levels 1..{n - 1} print)") from None
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Command-line interface, run in-process through main()."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -344,6 +345,26 @@ def test_schedule_subcommand(capsys, tmp_path):
     assert code == 0
     assert out == "n,a_n\n1,1\n2,2\n3,10\n4,140\n"
     assert out_csv.read_text() == out
+
+
+def test_schedule_weight_too_long_to_print_exits_2(capsys):
+    # The interpreter refuses to turn an integer of more than
+    # sys.get_int_max_str_digits() digits into text (4300 by default);
+    # the weights at p = 3 pass that before level 140.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit <= 4300:
+        pytest.skip("the integer-to-text limit is off or above its default")
+    code, out, err = run(capsys, "schedule", "--p", "3", "--N", "140")
+    assert code == 2 and out == ""
+    match = re.search(r"^error: schedule level (\d+): weight a_\1 has about "
+                      r"(\d+) decimal digits, too many to print "
+                      r"\(levels 1\.\.(\d+) print\)$", err, re.MULTILINE)
+    assert match, err
+    level, digits, last = map(int, match.groups())
+    assert last == level - 1 and digits > limit
+    assert "set_int_max_str_digits" not in err
+    code, out, _ = run(capsys, "schedule", "--p", "3", "--N", str(last))
+    assert code == 0 and out.splitlines()[-1].startswith(f"{last},")
 
 
 def test_strict_escalates_schedule_warnings(capsys):

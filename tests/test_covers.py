@@ -550,3 +550,116 @@ def test_block_scan_reports_the_first_of_tied_extremes(elems, monkeypatch):
         1, 3, [[[0, 1, 4, 5]], [[2, 3, 6, 7]]]))
     assert wide.violations[0] == Violation("cluster-diameter",
                                            (0, 0, 0, 4), 4)
+
+
+def _random_factor(rng, size):
+    """A factor of a random sum with ``size`` points and a basepoint:
+    a circle, an interval, a checked matrix, or a bare oracle that is
+    a line, the uniform metric (ties everywhere) or neither symmetric
+    nor a metric."""
+    kind = rng.choice(["circle", "interval", "matrix", "line", "uniform",
+                       "skew"])
+    a = rng.randint(1, 3)
+    if kind == "circle" and size >= 3:
+        return cyclic_group(size, a)
+    if kind == "interval" and size >= 2:
+        return interval(size - 1, a)
+    if kind == "matrix":
+        rm = random_metric_space(size, rng, max_entry=4)
+        return from_matrix([rm.dist_row(i).tolist() for i in range(size)],
+                           basepoint=0)
+    oracle = {"uniform": lambda i, j: a * (i != j),
+              "skew": lambda i, j: (3 * i + 5 * j) % 7
+              }.get(kind, lambda i, j: a * abs(i - j))
+    return FiniteMetricSpace(size, oracle, basepoint=0, label=kind)
+
+
+@pytest.mark.parametrize("elems", [1, 2, spaces._SCAN_ELEMS])
+def test_split_scan_equals_plain_scan_on_sums(elems, monkeypatch):
+    """On random sums of 2-4 factors, the first extreme pair read run
+    pair by run pair equals the one from a single read of the whole
+    table, least and largest: on random sorted sets, on rows that are
+    the columns, and on sets with ties planted across last-factor
+    digits.  Each block size runs both the split and the plain scan."""
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
+    rng = random.Random(elems)
+    split = plain = 0
+    for _ in range(80):
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+        sizes.append(rng.randint(2, 5))
+        if rng.random() < 0.3:
+            sizes[0] = rng.randint(20, 60)  # wide runs, for whole blocks
+        space = l1_sum([_random_factor(rng, s) for s in sizes])
+        stride = space.size // sizes[-1]
+        for _ in range(6):
+            rows, cols = (np.array(sorted(rng.sample(
+                range(space.size), rng.randint(1, min(space.size, 400)))),
+                dtype=np.intp) for _ in range(2))
+            if rng.random() < 0.3:
+                # The same offsets under every last digit: each run
+                # pair of a uniform or repeating last factor ties.
+                base = np.unique(rows % stride)[:rng.randint(1, 40)]
+                rows = np.concatenate([base + u * stride
+                                       for u in range(sizes[-1])])
+            if rng.random() < 0.4:
+                cols = rows
+            for largest in (False, True):
+                table = space.dist_block(rows, cols)
+                k = int(table.argmax() if largest else table.argmin())
+                i, j = divmod(k, len(cols))
+                expected = (int(table.flat[k]), int(rows[i]), int(cols[j]))
+                assert covers._first_extreme(
+                    space, rows, cols, largest=largest) == expected
+                if covers._run_pairs(space, rows, cols,
+                                     -1 if largest else 1) is None:
+                    plain += 1
+                else:
+                    split += 1
+    assert split and plain
+
+
+def test_corrupted_sum_cover_reads_few_pairs(monkeypatch):
+    """With one point moved between two 729-point product clusters of
+    the first certify job, the pivots and the hull leave the pair and
+    the grown cluster open.  Their scans read the sum's kernel only in
+    the run pairs a last-factor bound leaves in reach: under 3,000
+    distances, of the 1.06 million that the two plain scans read."""
+    space = build_space(parse_spec(
+        "sum(circle(3,1),circle(9,2),circle(27,10),circle(9,140))"))
+    cover = dim_at_scale(space, 139, 278).certificate
+    first = list(cover.families[0])
+    moved = max(first[0])
+    first[0], first[1] = first[0] - {moved}, first[1] | {moved}
+    bad = ScaledCover.of(139, 278, [first] + list(cover.families[1:]))
+    scanned, read, inside = [], [], []
+    reader, first_extreme = FiniteMetricSpace._reader, covers._first_extreme
+
+    def counting_reader(self, cols):
+        bound = reader(self, cols)
+        if self is not space:
+            return bound
+
+        def counted(I):
+            block = bound(I)
+            if inside:
+                read.append(block.size)
+            return block
+
+        return counted
+
+    def flagged_extreme(space, rows, cols, **kwargs):
+        scanned.append(len(rows) * len(cols))
+        inside.append(True)
+        try:
+            return first_extreme(space, rows, cols, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(FiniteMetricSpace, "_reader", counting_reader)
+    monkeypatch.setattr(covers, "_first_extreme", flagged_extreme)
+    report = validate_cover(space, bad)
+    assert [v.kind for v in report.violations] == ["family-separation",
+                                                   "cluster-diameter"]
+    assert report == _reference_report(space, bad)
+    assert sum(scanned) > 10**6
+    assert 0 < sum(read) <= 3000
