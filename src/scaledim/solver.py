@@ -27,6 +27,34 @@ it reaches exactly when each of their masks lies inside its ball, one
 integer AND per component, and on a merge inside the balls of the other
 components' members.  The search reads distances only to re-read rows
 it could not keep, and components out of a point's reach cost nothing.
+
+At its first backtrack the search starts forward checking.  Each
+component K keeps ``reach``, the AND of its members' balls, and
+``touch``, the OR of their lam-neighbour masks, and each class the
+points it blocks: the OR of ``touch & ~reach`` over its components.
+Lemma: a point q blocked in a class cannot join it.  Such a q is within
+lam of some member x of a component K and farther than control from
+some member y; joining, q would share a lam-component with x, hence
+with y, and that component's diameter would pass the control.  Classes
+only grow as the search descends, so the blocked sets only grow, and
+an undo restores them.  The search therefore skips blocked classes,
+refuses an insert that leaves some unplaced point blocked in every
+class (no class being empty then), and visits next the least unplaced
+point blocked in all classes but one, or else the next point of the
+degree order.  Until the first backtrack it runs without these masks,
+so a search that never backtracks pays nothing for them.
+
+Restricted growth (a point may open only the least empty class) stays
+complete under this state-dependent order.  Take any valid colouring
+chi with at most n+1 colours.  Along one branch, the placed points are
+coloured as chi up to a renaming of its colours in order of first use:
+the next point, whichever the state picks, gets either a colour already
+used, which the search tries, or a new one, which it renames to the
+least empty class.  Each partial colouring on that branch is a
+restriction of a renamed chi, so it is valid, and by the lemma no
+unplaced point is blocked in the class chi gives it, which is never
+skipped and leaves no point blocked everywhere.  So the search reaches
+a full colouring unless an earlier branch did.
 """
 
 from __future__ import annotations
@@ -197,8 +225,8 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
 # -- incremental colour classes ---------------------------------------------
 
 # Row entries kept in memory by one search, counting each neighbour and
-# each 64-bit word of a ball; past this, a point's row is read again at
-# each visit.
+# each 64-bit word of a ball or a touch mask; past this, a point's row
+# is read again at each visit.
 _NEIGHBOUR_LIMIT = 1 << 22
 
 
@@ -207,20 +235,24 @@ class _Neighbours:
     index array, and its control ball, the points within control of it,
     as a bitmask ``(lo, bits)`` whose bit k stands for point lo + k, lo
     being the ball's least point.  So a ball is as wide as the index
-    span of its points, not as the space.
+    span of its points, not as the space.  Forward checking also asks
+    for a point's touch mask, the point and its lam-neighbours as such a
+    bitmask, which is packed from the row on first use.
 
-    Rows are kept while they hold at most _NEIGHBOUR_LIMIT entries in
-    all, so a dense lam-graph on many points costs rereads rather than
-    memory; a row not kept is read again on each use.
+    Rows and touch masks are kept while they hold at most
+    _NEIGHBOUR_LIMIT entries in all, so a dense lam-graph on many points
+    costs rereads rather than memory; a row not kept is read again on
+    each use.
     """
 
-    __slots__ = ("space", "lam", "control", "rows", "kept")
+    __slots__ = ("space", "lam", "control", "rows", "touches", "kept")
 
     def __init__(self, space: FiniteMetricSpace, lam: int, control: int):
         self.space = space
         self.lam = lam
         self.control = control
         self.rows: list[Optional[tuple]] = [None] * space.size
+        self.touches: list[Optional[tuple]] = [None] * space.size
         self.kept = 0
 
     def __call__(self, p: int) -> tuple:
@@ -257,12 +289,34 @@ class _Neighbours:
                 self.kept += cost
         return out
 
+    def touch(self, p: int) -> tuple:
+        mask = self.touches[p]
+        if mask is None:
+            near = np.append(self(p)[0], p)
+            lo = int(near.min())
+            flags = np.zeros(int(near.max()) - lo + 1, dtype=bool)
+            flags[near - lo] = True
+            packed = np.packbits(flags, bitorder="little").tobytes()
+            mask = (lo, int.from_bytes(packed, "little"))
+            cost = (flags.size + 63) // 64
+            if self.kept + cost <= _NEIGHBOUR_LIMIT:
+                self.touches[p] = mask
+                self.kept += cost
+        return mask
+
 
 def _union(lo: int, bits: int, lo2: int, bits2: int) -> tuple[int, int]:
     # The union of two bitmasks, each relative to its least point.
     if lo2 < lo:
         return lo2, bits2 | (bits << (lo - lo2))
     return lo, bits | (bits2 << (lo2 - lo))
+
+
+def _meet(lo: int, bits: int, lo2: int, bits2: int) -> tuple[int, int]:
+    # The intersection of two bitmasks, each relative to its lo.
+    if lo2 > lo:
+        return lo2, (bits >> (lo2 - lo)) & bits2
+    return lo, bits & (bits2 >> (lo - lo2))
 
 
 class _ColorClass:
@@ -359,6 +413,78 @@ class _ColorClass:
         return [frozenset(ms) for _, _, ms in self.comps.values()]
 
 
+class _Forward:
+    """Forward-checking state of a search, built at its first backtrack.
+
+    ``masks[c]`` maps each component id of class c to ``(rlo, reach,
+    tlo, touch)``: the AND of its members' balls and the OR of their
+    touch masks, each relative to its lo.  ``blocked[c]`` has bit q set
+    when q is in some component's touch and not in its reach, and
+    ``free`` has the bits of the unplaced points; both count from point
+    0.  ``forced`` holds the unplaced points blocked in all classes but
+    one after the last insert, and ``cursor[t]`` the position in the
+    degree order before which every point was placed when depth t chose.
+    """
+
+    __slots__ = ("rows", "order", "masks", "blocked", "free", "forced",
+                 "saved", "cursor")
+
+    def __init__(self, rows: _Neighbours, kmax: int, order: list[int]):
+        m = len(order)
+        self.rows = rows
+        self.order = order
+        self.masks: list[dict] = [{} for _ in range(kmax)]
+        self.blocked = [0] * kmax
+        self.free = (1 << m) - 1
+        self.forced = 0
+        self.saved: list = [None] * m
+        self.cursor = list(range(m))
+
+    def grow(self, t: int, c: int, token) -> int:
+        """Record the insert at depth t, whose undo token is ``token``,
+        into class c; return the unplaced points it leaves blocked in
+        every class."""
+        p, main, _, _, moved = token
+        masks = self.masks[c]
+        _, rlo, reach = self.rows(p)
+        tlo, touch = self.rows.touch(p)
+        ids = (main,) + tuple(cid for cid, _ in moved)
+        gone = tuple((cid, masks.pop(cid)) for cid in ids if cid in masks)
+        for _, (lo, bits, lo2, bits2) in gone:
+            rlo, reach = _meet(rlo, reach, lo, bits)
+            tlo, touch = _union(tlo, touch, lo2, bits2)
+        masks[main] = (rlo, reach, tlo, touch)
+        blocked = self.blocked
+        self.saved[t] = (c, p, main, gone, blocked[c])
+        blocked[c] |= (touch << tlo) & ~(reach << rlo)
+        self.free ^= 1 << p
+        every = self.free
+        forced = 0
+        for b in blocked:
+            forced = (forced & b) | (every & ~b)
+            every &= b
+        self.forced = forced
+        return every
+
+    def undo(self, t: int) -> None:
+        c, p, main, gone, old = self.saved[t]
+        masks = self.masks[c]
+        del masks[main]
+        masks.update(gone)
+        self.blocked[c] = old
+        self.free |= 1 << p
+
+    def next_point(self, t: int) -> int:
+        # The least forced point, else the first unplaced one in the
+        # degree order.
+        order, free, i = self.order, self.free, self.cursor[t - 1]
+        while not free >> order[i] & 1:
+            i += 1
+        self.cursor[t] = i
+        forced = self.forced
+        return (forced & -forced).bit_length() - 1 if forced else order[i]
+
+
 # -- feasibility search -----------------------------------------------------
 
 
@@ -430,6 +556,10 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
     kmax = n + 1
     points, rows = order
     classes = [_ColorClass(rows) for _ in range(kmax)]
+    # The point at each depth: the degree order until forward checking
+    # starts, which then picks each next point.
+    at = points
+    fc: Optional[_Forward] = None
     choice = [-1] * m
     undos: list = [None] * m
     used_before = [0] * m
@@ -437,17 +567,25 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
     nodes = 0
     t = 0
     while 0 <= t < m:
-        p = points[t]
+        p = at[t]
         row = rows(p)
         c = choice[t] + 1
         limit = min(used + 1, kmax)
         placed = False
         while c < limit:
+            if fc is not None and fc.blocked[c] >> p & 1:
+                c += 1
+                continue
             nodes += 1
             if nodes > node_budget:
                 return SearchOutcome(UNKNOWN, None, nodes)
             token = classes[c].try_insert(p, row)
             if token is not None:
+                if fc is not None and fc.grow(t, c, token):
+                    fc.undo(t)
+                    classes[c].undo(token)
+                    c += 1
+                    continue
                 choice[t] = c
                 undos[t] = token
                 used_before[t] = used
@@ -458,11 +596,21 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
             c += 1
         if placed:
             t += 1
+            if fc is not None and t < m:
+                at[t] = fc.next_point(t)
         else:
             choice[t] = -1
+            if fc is None:
+                # The first backtrack: build the masks of the classes
+                # as they stand, one insert at a time.
+                at = list(points)
+                fc = _Forward(rows, kmax, points)
+                for d in range(t):
+                    fc.grow(d, choice[d], undos[d])
             t -= 1
             if t >= 0:
                 classes[choice[t]].undo(undos[t])
+                fc.undo(t)
                 used = used_before[t]
     if t < 0:
         ev = ExhaustionEvidence(

@@ -171,7 +171,13 @@ class FiniteMetricSpace:
     def dist_block(self, rows, cols=None) -> np.ndarray:
         """Distances from each point of ``rows`` to each point of ``cols``
         (all points when None), as a new len(rows) x len(cols) int64
-        array: one read of the reader bound to ``cols``."""
+        array: one read of the reader bound to ``cols``.
+
+        The read is one-shot and its memory is not bounded by the
+        result: on an l1 sum with picked columns, 729 rows against all
+        6561 points of ``sum(circle(3,1),circle(9,2),circle(27,10),
+        circle(9,140))`` peak at 112 MiB for a 36.5 MiB table.  Large
+        reads should go through ``row_blocks``."""
         return self._reader(cols)(np.asarray(rows, dtype=np.intp))
 
     def _reader(self, cols) -> Callable:

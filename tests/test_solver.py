@@ -329,16 +329,19 @@ def test_dim_at_scale_scans_once(monkeypatch):
 # Search-tree sizes of the degree-ordered search, counted across every
 # candidate n.  The colour classes may change how they find a point's
 # components, but not which points they accept, so these stay fixed.
+# The first two never backtrack; the others are forward-checked from
+# their first backtrack on.
 @pytest.mark.parametrize("spec, lam, control, budget, status, nodes", [
     ("circle(60,1)", 1, 2, None, "exact", 75),
     ("circle(1000,1)", 1, 2, None, "exact", 1250),
-    ("sum(interval(4,1),interval(4,1))", 2, 4, None, "exact", 25154),
-    ("sum(circle(6,1),circle(6,1))", 2, 4, None, "exact", 37605),
-    ("sum(interval(6,1),interval(6,1))", 2, 5, 100_000, "unknown", 100_001),
+    ("sum(interval(4,1),interval(4,1))", 2, 4, None, "exact", 585),
+    ("sum(circle(6,1),circle(6,1))", 2, 4, None, "exact", 382),
+    ("sum(interval(6,1),interval(6,1))", 2, 5, 100_000, "exact", 3370),
+    ("sum(interval(6,1),interval(6,1))", 2, 5, 2_000, "unknown", 2_001),
     # Merge-heavy: random metrics (points, seed) at the q0.25 and q0.5
     # distance quantiles, as in the benchmark's search workload.
-    pytest.param((50, 3), 1, 2, None, "exact", 49_721, id="random(50,3)"),
-    pytest.param((40, 1), 1, 2, None, "exact", 6_380, id="random(40,1)"),
+    pytest.param((50, 3), 1, 2, None, "exact", 1_251, id="random(50,3)"),
+    pytest.param((40, 1), 1, 2, None, "exact", 292, id="random(40,1)"),
 ])
 def test_search_tree_sizes_are_pinned(spec, lam, control, budget, status,
                                       nodes):
@@ -349,6 +352,173 @@ def test_search_tree_sizes_are_pinned(spec, lam, control, budget, status,
     kw = {} if budget is None else {"node_budget": budget}
     result = dim_at_scale(space, lam, control, **kw)
     assert (result.status, result.nodes) == (status, nodes)
+
+
+def _plain_dim(space, lam, control, budget):
+    # A plain backtracking DFS, sharing nothing with the solver but the
+    # distances: the degree order, restricted growth, and a BFS for the
+    # component a point joins.  Returns (dimension or None past the
+    # budget, number of backtracks for n >= 1, where the solver
+    # searches).
+    m = space.size
+    dist = np.array([space.dist_row(i) for i in range(m)])
+    near = dist <= lam
+    order = sorted(range(m), key=lambda i: (-int(near[i].sum()), i))
+    nodes = backtracks = 0
+
+    def fits(members, p):
+        comp, todo = {p}, [p]
+        while todo:
+            q = todo.pop()
+            for r in members:
+                if r not in comp and near[q, r]:
+                    comp.add(r)
+                    todo.append(r)
+        idx = sorted(comp)
+        return dist[np.ix_(idx, idx)].max() <= control
+
+    def place(classes, t):
+        nonlocal nodes, backtracks
+        if t == m:
+            return True
+        p = order[t]
+        used = sum(1 for cls in classes if cls)
+        for cls in classes[:used + 1]:
+            nodes += 1
+            if nodes > budget:
+                raise TimeoutError
+            if fits(cls, p):
+                cls.append(p)
+                if place(classes, t + 1):
+                    return True
+                cls.pop()
+        backtracks += 1
+        return False
+
+    for n in range(m):
+        try:
+            if place([[] for _ in range(n + 1)], 0):
+                return n, backtracks
+        except TimeoutError:
+            return None, backtracks
+        if n == 0:
+            backtracks = 0
+
+
+def test_forward_checking_agrees_with_a_plain_dfs(monkeypatch):
+    # On seeded random spaces of 8 to 40 points, at scales where the
+    # plain DFS backtracks and so the solver starts forward checking,
+    # both give the same exact dimension and the certificate validates.
+    built = []
+
+    class Counting(solver._Forward):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(solver, "_Forward", Counting)
+    rng = random.Random(2024)
+    cases = 0
+    while cases < 40:
+        size = rng.randint(8, 40)
+        space = random_metric_space(size, rng.randrange(2**32))
+        dists = sorted({int(v) for i in range(size)
+                        for v in space.dist_row(i)[i + 1:]})
+        for _ in range(6):
+            lam = dists[rng.randrange(len(dists) // 2)]
+            control = rng.choice([d for d in dists if d >= lam])
+            value, backtracks = _plain_dim(space, lam, control, 5_000)
+            if value is None or not backtracks:
+                continue
+            built.clear()
+            result = dim_at_scale(space, lam, control)
+            assert built, (size, lam, control)
+            assert (result.status, result.value) == ("exact", value)
+            assert len(result.certificate.families) == value + 1
+            assert validate_cover(space, result.certificate).ok
+            cases += 1
+            break
+
+
+def _point_masks(space, radius):
+    # Each point's ball of the radius as a bitmask from point 0.
+    return [sum(1 << int(q) for q in np.flatnonzero(space.dist_row(p)
+                                                   <= radius))
+            for p in range(space.size)]
+
+
+def _forward_state(ball, touch, classes, placed):
+    # The blocked masks and free points recomputed from the classes.
+    blocked = []
+    for cls in classes:
+        mask = 0
+        for _, _, ms in cls.comps.values():
+            reach, near = -1, 0
+            for x in ms:
+                reach &= ball[x]
+                near |= touch[x]
+            mask |= near & ~reach
+        blocked.append(mask)
+    free = sum(1 << q for q in range(len(ball)) if q not in placed)
+    return blocked, free
+
+
+def test_forward_state_follows_inserts_and_undos(random_wedge):
+    # Random inserts and undos across three classes: the blocked masks
+    # and the free points always equal their recomputation from the
+    # classes, every blocked point is refused by its class, and grow
+    # returns the free points blocked in every class.
+    for seed in range(30):
+        rng = random.Random(seed)
+        space = (random_wedge(rng) if seed % 3 == 0 else
+                 random_metric_space(rng.randint(3, 14), rng))
+        dists = sorted({int(v) for i in range(space.size)
+                        for v in space.dist_row(i)})
+        lam = rng.choice(dists)
+        control = rng.choice([d for d in dists if d >= lam])
+        ball = _point_masks(space, control)
+        touch = _point_masks(space, lam)
+        rows = solver._Neighbours(space, lam, control)
+        classes = [solver._ColorClass(rows) for _ in range(3)]
+        fc = solver._Forward(rows, 3, list(range(space.size)))
+        stack = []
+        for _ in range(3 * space.size):
+            placed = {p for p, _, _ in stack}
+            outside = [q for q in range(space.size) if q not in placed]
+            if outside and (not stack or rng.random() < 0.7):
+                p, c = rng.choice(outside), rng.randrange(3)
+                token = classes[c].try_insert(p, rows(p))
+                if (fc.blocked[c] >> p) & 1:
+                    assert token is None
+                if token is None:
+                    continue
+                every = fc.grow(len(stack), c, token)
+                stack.append((p, c, token))
+                blocked, free = _forward_state(ball, touch, classes,
+                                               placed | {p})
+                assert every == free & blocked[0] & blocked[1] & blocked[2]
+            else:
+                p, c, token = stack.pop()
+                fc.undo(len(stack))
+                classes[c].undo(token)
+            blocked, free = _forward_state(ball, touch, classes,
+                                           {p for p, _, _ in stack})
+            assert (fc.blocked, fc.free) == (blocked, free)
+
+
+def test_circle_81_cell_is_one_family_short_of_the_counting_bound():
+    # The last factor of group(3,4) at (2869, 5599): two families of two
+    # arcs each, every arc at most 20 steps of 140 wide and each pair of
+    # arcs in a family more than 2869 apart, so the dimension is 1.
+    space = cyclic_group(81, 140)
+    hand = ScaledCover.of(2869, 5599, [[range(0, 20), range(40, 60)],
+                                       [range(20, 40), range(60, 81)]])
+    assert validate_cover(space, hand).ok
+    result = dim_at_scale(space, 2869, 5599, node_budget=100_000)
+    assert (result.status, result.value) == ("exact", 1)
+    assert validate_cover(space, result.certificate).ok
 
 
 def _class_state(cls):
