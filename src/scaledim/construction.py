@@ -114,8 +114,7 @@ def _truncation(p: int, levels: int, mode: str, label: str) -> FiniteMetricSpace
     points are counted against the cap before the (slow) schedule."""
     size = n = 1
     while n <= levels and size <= DEFAULT_PRODUCT_CAP and p >= 2:
-        piece = n + 3 if mode == "interval-wedge" else p**n
-        size = size * piece if mode == "group" else size + piece - 1
+        size = size * p**n if mode == "group" else size + p**n - 1
         n += 1
     if size > DEFAULT_PRODUCT_CAP:
         raise ValueError(f"{label} would have at least {size} points, "
@@ -134,12 +133,6 @@ def wedge_truncation(p: int, levels: int) -> FiniteMetricSpace:
     """Wedge of the first ``levels`` weighted circles under the
     wedge-mode schedule."""
     return _truncation(p, levels, "wedge", f"wedgegroup({p},{levels})")
-
-
-def interval_wedge_truncation(levels: int) -> FiniteMetricSpace:
-    """Wedge of weighted discrete intervals under the interval-wedge
-    schedule (no circles, p plays no role)."""
-    return _truncation(2, levels, "interval-wedge", f"wedgeintervals({levels})")
 
 
 # -- distinguished subsets ---------------------------------------------------
@@ -298,12 +291,6 @@ def check_conditions(schedule: WeightSchedule,
         levels.append(ConditionLevel(n, a_n, discrete_ok, tuple(rises),
                                      prefix_ok, sep_ok, prereq, notes))
     return ConditionsReport(schedule, tuple(levels))
-
-
-def dip_scales(schedule: WeightSchedule) -> list[int]:
-    """The separation scales a_n - 1 just under each weight, where the
-    assembled space collapses to dimension zero."""
-    return [schedule.weight(n) - 1 for n in range(1, schedule.levels + 1)]
 
 
 def dim_zero_witness(space: FiniteMetricSpace, prefix: Sequence[int],

@@ -222,11 +222,10 @@ def _projections(factors: Sequence[FiniteMetricSpace],
     """Each cluster's projection on each factor of an l1 sum: per
     factor, the clusters' coordinates there, each cluster's sorted and
     without repeats, laid end to end, and the clusters' offsets into
-    them.  Factor 1 is the lowest digit of a point, as in ``l1_blocks``."""
+    them.  The coordinates are ``spaces.l1_digits``."""
     n = len(arrays)
     owner = np.repeat(np.arange(n), [len(pts) for pts in arrays])
-    digits = np.unravel_index(np.concatenate(arrays),
-                              [g.size for g in factors], order="F")
+    digits = spaces.l1_digits(factors, np.concatenate(arrays))
     proj = []
     for g, coord in zip(factors, digits):
         keys = np.sort(owner * g.size + coord)
@@ -345,9 +344,10 @@ def _run_pairs(space: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray,
     a reader of the sum."""
     if space.structure is None or space.structure[0] != "sum":
         return None
-    *rest, last = space.structure[1]
-    stride = space.size // last.size
-    row_digits, col_digits = rows // stride, cols // stride
+    factors = space.structure[1]
+    *rest, last = factors
+    row_digits = spaces.l1_digits(factors, rows)[-1]
+    col_digits = spaces.l1_digits(factors, cols)[-1]
     r = np.flatnonzero(_run_starts(row_digits))
     c = np.flatnonzero(_run_starts(col_digits))
     half = rows is cols and space.metric_guaranteed

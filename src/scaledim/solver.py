@@ -21,17 +21,19 @@ lam-neighbours.  The pass that counts them reads the distances once,
 block by block, and keeps each point's row: its neighbour list and its
 control ball, the points within control of it, as an int bitmask.
 Each colour class keeps an owner array naming the component that holds
-each point, and each component a bitmask of its members.  Inserting a
-point reads the owners of its neighbours; it may join the components
-it reaches exactly when each of their masks lies inside its ball, one
-integer AND per component, and on a merge inside the balls of the other
-components' members.  The search reads distances only to re-read rows
-it could not keep, and components out of a point's reach cost nothing.
+each point, and per component a bitmask of its members and its
+``reach``, the AND of their balls.  Inserting a point reads the owners
+of its neighbours; it may join the components it reaches exactly when it
+lies in each one's reach, one bit test, and on a merge when each smaller
+component's mask lies in the reach merged so far, one AND per component.
+Rows hold only d(p, .), so both tests take the distances as symmetric,
+as forward checking does.  The search reads distances only to re-read
+rows it could not keep.
 
 At its first backtrack the search starts forward checking.  Each
-component K keeps ``reach``, the AND of its members' balls, and
-``touch``, the OR of their lam-neighbour masks, and each class the
-points it blocks: the OR of ``touch & ~reach`` over its components.
+component K also keeps ``touch``, the OR of its members' lam-neighbour
+masks, and each class the points it blocks: the OR of ``touch & ~reach``
+over its components.
 Lemma: a point q blocked in a class cannot join it.  Such a q is within
 lam of some member x of a component K and farther than control from
 some member y; joining, q would share a lam-component with x, hence
@@ -41,8 +43,8 @@ an undo restores them.  The search therefore skips blocked classes,
 refuses an insert that leaves some unplaced point blocked in every
 class (no class being empty then), and visits next the least unplaced
 point blocked in all classes but one, or else the next point of the
-degree order.  Until the first backtrack it runs without these masks,
-so a search that never backtracks pays nothing for them.
+degree order.  Until the first backtrack it runs without the touch and
+blocked masks, so a search that never backtracks pays nothing for them.
 
 Restricted growth (a point may open only the least empty class) stays
 complete under this state-dependent order.  Take any valid colouring
@@ -325,18 +327,19 @@ class _ColorClass:
 
     ``owner[q]`` is the id of the component holding point q, or -1 when
     q is not in the class; a component's id is one of its points, and
-    ``comps`` maps ids to ``[lo, bits, members]``: the member bitmask
-    relative to the least member lo, as in a ball, and the member list.
-    Every component has diameter at most the control, so a point may
-    join the components it touches exactly when each lies in its ball
-    and, on a merge, each lies in the balls of the others' members.
+    ``comps`` maps ids to ``[lo, bits, rlo, reach, members]``: the
+    member bitmask relative to the least member lo, as in a ball; the
+    reach, the AND of the members' balls, relative to rlo; and the
+    member list.  Every component has diameter at most the control, so
+    a point may join the components it touches exactly when it lies in
+    the reach of each and, on a merge, each lies in the reach of the
+    others.
     """
 
-    __slots__ = ("rows", "owner", "comps")
+    __slots__ = ("owner", "comps")
 
-    def __init__(self, rows: _Neighbours):
-        self.rows = rows
-        self.owner = np.full(rows.space.size, -1, dtype=np.int32)
+    def __init__(self, size: int):
+        self.owner = np.full(size, -1, dtype=np.int32)
         self.comps: dict[int, list] = {}
 
     def try_insert(self, p: int, row: tuple):
@@ -349,111 +352,100 @@ class _ColorClass:
         comps = self.comps
         if not touched:
             self.owner[p] = p
-            comps[p] = [p, 1, [p]]
-            return (p, p, 0, p, ())
+            comps[p] = [p, 1, blo, ball, [p]]
+            return (p, p, (), None)
         for c in touched:
-            lo, bits, _ = comps[c]
-            if lo < blo or (ball >> (lo - blo)) & bits != bits:
+            _, _, rlo, reach, _ = comps[c]
+            if p < rlo or not reach >> (p - rlo) & 1:
                 return None
-        moved = ()
-        if len(touched) == 1:
-            main = c
-            mlo, mbits, _ = comps[c]
-        else:
-            # Merging several components: their cross distances become
-            # internal.  The members of each smaller component are
-            # checked against the mask merged so far, which starts as
-            # the largest one's.
-            main = max(touched, key=lambda c: len(comps[c][2]))
-            mlo, mbits, _ = comps[main]
-            rows = self.rows
-            for c in touched:
-                if c == main:
-                    continue
-                lo, bits, ms = comps[c]
-                for q in ms:
-                    _, qlo, qball = rows(q)
-                    if mlo < qlo or (qball >> (mlo - qlo)) & mbits != mbits:
-                        return None
-                mlo, mbits = _union(mlo, mbits, lo, bits)
-            moved = tuple((c, comps.pop(c)) for c in touched if c != main)
+        main = (c if len(touched) == 1 else
+                max(touched, key=lambda c: len(comps[c][4])))
         comp = comps[main]
-        big = comp[2]
-        token = (p, main, len(big), comp[0], moved)
-        for c, (_, _, ms) in moved:
-            big.extend(ms)
-            self.owner[ms] = main
-        comp[0], comp[1] = _union(mlo, mbits, p, 1)
+        lo, bits, rlo, reach, big = comp
+        touched.discard(main)
+        # On a merge the cross distances become internal: each smaller
+        # component must lie in the reach merged so far, which starts as
+        # the largest one's.
+        for c in touched:
+            clo, cbits, crlo, creach, _ = comps[c]
+            if clo < rlo or (reach >> (clo - rlo)) & cbits != cbits:
+                return None
+            lo, bits = _union(lo, bits, clo, cbits)
+            rlo, reach = _meet(rlo, reach, crlo, creach)
+        moved = tuple((c, comps.pop(c)) for c in touched) if touched else ()
+        token = (p, main, moved, (*comp[:4], len(big)))
+        for c, other in moved:
+            big.extend(other[4])
+            self.owner[other[4]] = main
+        comp[0], comp[1] = _union(lo, bits, p, 1)
+        comp[2], comp[3] = _meet(rlo, reach, blo, ball)
         big.append(p)
         self.owner[p] = main
         return token
 
     def undo(self, token) -> None:
-        # A token holds no mask: the grown component drops p's bit and
-        # the masks of the components it absorbed, which come back from
-        # the token as they were, and is re-based on its old least point.
-        p, main, old_len, old_lo, moved = token
+        # The grown component gets its saved fields back and drops the
+        # members it gained; the components it absorbed come back from
+        # the token as they were.
+        p, main, moved, old = token
         self.owner[p] = -1
         comps = self.comps
-        if old_len == 0:
+        if old is None:
             del comps[main]
             return
         comp = comps[main]
-        lo = comp[0]
-        bits = comp[1] ^ (1 << (p - lo))
-        for c, moved_comp in moved:
-            bits ^= moved_comp[1] << (moved_comp[0] - lo)
-            comps[c] = moved_comp
-            self.owner[moved_comp[2]] = c
-        comp[0] = old_lo
-        comp[1] = bits >> (old_lo - lo)
-        del comp[2][old_len:]
+        comp[0], comp[1], comp[2], comp[3], size = old
+        del comp[4][size:]
+        for c, other in moved:
+            comps[c] = other
+            self.owner[other[4]] = c
 
     def clusters(self) -> list[frozenset]:
-        return [frozenset(ms) for _, _, ms in self.comps.values()]
+        return [frozenset(comp[4]) for comp in self.comps.values()]
 
 
 class _Forward:
     """Forward-checking state of a search, built at its first backtrack.
 
-    ``masks[c]`` maps each component id of class c to ``(rlo, reach,
-    tlo, touch)``: the AND of its members' balls and the OR of their
-    touch masks, each relative to its lo.  ``blocked[c]`` has bit q set
-    when q is in some component's touch and not in its reach, and
-    ``free`` has the bits of the unplaced points; both count from point
-    0.  ``forced`` holds the unplaced points blocked in all classes but
-    one after the last insert, and ``cursor[t]`` the position in the
-    degree order before which every point was placed when depth t chose.
+    ``touches[c]`` maps each component id of ``classes[c]`` to ``(tlo,
+    touch)``, the OR of its members' touch masks relative to tlo; its
+    reach is the class's.  ``blocked[c]`` has bit q set when q is in
+    some component's touch and not in its reach, and ``free`` has the
+    bits of the unplaced points; both count from point 0.  ``forced``
+    holds the unplaced points blocked in all classes but one after the
+    last insert, and ``cursor[t]`` the position in the degree order
+    before which every point was placed when depth t chose.
     """
 
-    __slots__ = ("rows", "order", "masks", "blocked", "free", "forced",
-                 "saved", "cursor")
+    __slots__ = ("rows", "order", "classes", "touches", "blocked", "free",
+                 "forced", "saved", "cursor")
 
-    def __init__(self, rows: _Neighbours, kmax: int, order: list[int]):
+    def __init__(self, rows: _Neighbours, classes: list[_ColorClass],
+                 order: list[int]):
         m = len(order)
         self.rows = rows
         self.order = order
-        self.masks: list[dict] = [{} for _ in range(kmax)]
-        self.blocked = [0] * kmax
+        self.classes = classes
+        self.touches: list[dict] = [{} for _ in classes]
+        self.blocked = [0] * len(classes)
         self.free = (1 << m) - 1
         self.forced = 0
         self.saved: list = [None] * m
         self.cursor = list(range(m))
 
     def grow(self, t: int, c: int, token) -> int:
-        """Record the insert at depth t, whose undo token is ``token``,
-        into class c; return the unplaced points it leaves blocked in
+        """Record the insert at depth t into class c, whose undo token
+        is ``token``; return the unplaced points it leaves blocked in
         every class."""
-        p, main, _, _, moved = token
-        masks = self.masks[c]
-        _, rlo, reach = self.rows(p)
+        p, main, moved, _ = token
+        touches = self.touches[c]
         tlo, touch = self.rows.touch(p)
         ids = (main,) + tuple(cid for cid, _ in moved)
-        gone = tuple((cid, masks.pop(cid)) for cid in ids if cid in masks)
-        for _, (lo, bits, lo2, bits2) in gone:
-            rlo, reach = _meet(rlo, reach, lo, bits)
-            tlo, touch = _union(tlo, touch, lo2, bits2)
-        masks[main] = (rlo, reach, tlo, touch)
+        gone = tuple((cid, touches.pop(cid)) for cid in ids if cid in touches)
+        for _, (lo, bits) in gone:
+            tlo, touch = _union(tlo, touch, lo, bits)
+        touches[main] = (tlo, touch)
+        _, _, rlo, reach, _ = self.classes[c].comps[main]
         blocked = self.blocked
         self.saved[t] = (c, p, main, gone, blocked[c])
         blocked[c] |= (touch << tlo) & ~(reach << rlo)
@@ -468,9 +460,9 @@ class _Forward:
 
     def undo(self, t: int) -> None:
         c, p, main, gone, old = self.saved[t]
-        masks = self.masks[c]
-        del masks[main]
-        masks.update(gone)
+        touches = self.touches[c]
+        del touches[main]
+        touches.update(gone)
         self.blocked[c] = old
         self.free |= 1 << p
 
@@ -555,7 +547,7 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
     m = space.size
     kmax = n + 1
     points, rows = order
-    classes = [_ColorClass(rows) for _ in range(kmax)]
+    classes = [_ColorClass(m) for _ in range(kmax)]
     # The point at each depth: the degree order until forward checking
     # starts, which then picks each next point.
     at = points
@@ -601,11 +593,16 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
         else:
             choice[t] = -1
             if fc is None:
-                # The first backtrack: build the masks of the classes
-                # as they stand, one insert at a time.
+                # The first backtrack: take the placed points out and
+                # place them again, so that each insert is recorded
+                # with the reach it had at its depth.
+                for d in reversed(range(t)):
+                    classes[choice[d]].undo(undos[d])
                 at = list(points)
-                fc = _Forward(rows, kmax, points)
+                fc = _Forward(rows, classes, points)
                 for d in range(t):
+                    undos[d] = classes[choice[d]].try_insert(at[d],
+                                                             rows(at[d]))
                     fc.grow(d, choice[d], undos[d])
             t -= 1
             if t >= 0:

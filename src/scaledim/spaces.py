@@ -176,7 +176,7 @@ class FiniteMetricSpace:
         The read is one-shot and its memory is not bounded by the
         result: on an l1 sum with picked columns, 729 rows against all
         6561 points of ``sum(circle(3,1),circle(9,2),circle(27,10),
-        circle(9,140))`` peak at 112 MiB for a 36.5 MiB table.  Large
+        circle(9,140))`` peak at 110 MiB for a 36.5 MiB table.  Large
         reads should go through ``row_blocks``."""
         return self._reader(cols)(np.asarray(rows, dtype=np.intp))
 
@@ -607,6 +607,14 @@ def l1_blocks(factors: Sequence[FiniteMetricSpace],
     return blocks
 
 
+def l1_digits(factors: Sequence[FiniteMetricSpace],
+              points) -> tuple[np.ndarray, ...]:
+    """Each factor's coordinate of the given points of
+    ``l1_sum(factors)``, one index array per factor; factor 1 is the
+    lowest digit."""
+    return np.unravel_index(points, [g.size for g in factors], order="F")
+
+
 def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
            label: Optional[str] = None) -> FiniteMetricSpace:
     """l1 direct sum: point tuples with coordinatewise summed distances.
@@ -643,32 +651,22 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
         if sp.size <= MATRIX_CACHE_LIMIT:
             sp.densify()
 
-    def digits(points):  # each factor's coordinate; factor 1 is the lowest
-        return np.unravel_index(points, sizes, order="F")
-
     def blocks(J):  # the sum of the factors' blocks
         if J is None:  # each factor's block added as the next, slower digit
             def grid(I):
                 out = np.zeros((len(I), 1), dtype=np.int64)
-                for sp, ri in zip(spaces, digits(I)):
+                for sp, ri in zip(spaces, l1_digits(spaces, I)):
                     out = (sp.dist_block(ri)[:, :, None] + out[:, None, :]
                            ).reshape(len(I), sp.size * out.shape[1])
                 return out
 
             return grid
-        cols = digits(J)
-        # A factor with no more points than a read has rows is read
-        # once, whole, against its column digits: a table no larger
-        # than that block, from which every block takes whole rows.
-        tables = [None] * len(spaces)
+        cols = l1_digits(spaces, J)
 
         def read(I):
             out = None
-            for f, (sp, ri, cj) in enumerate(zip(spaces, digits(I), cols)):
-                if tables[f] is None and sp.size <= len(I):
-                    tables[f] = sp.dist_block(np.arange(sp.size), cj)
-                part = (sp.dist_block(ri, cj) if tables[f] is None
-                        else tables[f].take(ri, axis=0))
+            for sp, ri, cj in zip(spaces, l1_digits(spaces, I), cols):
+                part = sp.dist_block(ri, cj)
                 if out is None:
                     out = part
                 else:

@@ -8,11 +8,10 @@ import pytest
 from scaledim import construction, solver
 from scaledim import (INFEASIBLE, SmallCircleWarning, WeightSchedule,
                       check_conditions, check_metric, cyclic_group,
-                      dim_at_scale, dim_le,
-                      dim_zero_witness, dip_scales, from_matrix,
-                      group_truncation, interval, interval_wedge_truncation,
-                      l1_axis_subsets, l1_prefix_indices, l1_sum, profile,
-                      profile_csv, relabel, scale, schedule_csv, subspace,
+                      dim_at_scale, dim_le, dim_zero_witness, from_matrix,
+                      group_truncation, interval, l1_axis_subsets,
+                      l1_prefix_indices, l1_sum, profile, profile_csv,
+                      relabel, scale, schedule_csv, subspace,
                       truncation_factors, validate_cover, wedge_arm_subsets,
                       wedge_points, wedge_truncation, weight_schedule)
 
@@ -60,10 +59,6 @@ def test_each_weight_exceeds_what_came_before():
             assert sched.weight(n) == prior + 1, (mode, n)
 
 
-def test_dip_scales():
-    assert dip_scales(quiet_schedule(3, 4)) == [0, 1, 9, 139]
-
-
 def test_small_circle_warning_levels():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -109,18 +104,13 @@ def test_wedge_truncation_shape():
     assert (w4.size, w4.diameter()) == (117, 139 * 40 + 130)
 
 
-def test_interval_wedge_truncation_shape():
-    iw = interval_wedge_truncation(3)
-    assert (iw.label, iw.size, iw.diameter()) == ("wedgeintervals(3)", 13, 116)
-    check_metric(iw)
-
-
 def test_truncations_over_the_cap_are_refused_by_their_point_count():
-    # Counted level by level, before the schedule: 1411 interval arms
-    # make 998989 points and a 1412th 1000403; a group level multiplies
-    # the count, 3**10 by 3**5 at level 5.
-    with pytest.raises(ValueError, match="at least 1000403 points, over"):
-        interval_wedge_truncation(1412)
+    # Counted level by level, before the schedule: a wedge level adds
+    # its circle's points but the wedge point, 1000 + 10**6 - 1 at level
+    # 2 for p = 1000; a group level multiplies the count, 3**10 by 3**5
+    # at level 5.
+    with pytest.raises(ValueError, match="at least 1000999 points, over"):
+        wedge_truncation(1000, 2)
     with pytest.raises(ValueError, match="at least 14348907 points, over"):
         group_truncation(3, 5)
     with pytest.raises(ValueError, match="at least 1000001 points, over"):

@@ -454,7 +454,7 @@ def _forward_state(ball, touch, classes, placed):
     blocked = []
     for cls in classes:
         mask = 0
-        for _, _, ms in cls.comps.values():
+        for *_, ms in cls.comps.values():
             reach, near = -1, 0
             for x in ms:
                 reach &= ball[x]
@@ -481,8 +481,8 @@ def test_forward_state_follows_inserts_and_undos(random_wedge):
         ball = _point_masks(space, control)
         touch = _point_masks(space, lam)
         rows = solver._Neighbours(space, lam, control)
-        classes = [solver._ColorClass(rows) for _ in range(3)]
-        fc = solver._Forward(rows, 3, list(range(space.size)))
+        classes = [solver._ColorClass(space.size) for _ in range(3)]
+        fc = solver._Forward(rows, classes, list(range(space.size)))
         stack = []
         for _ in range(3 * space.size):
             placed = {p for p, _, _ in stack}
@@ -522,8 +522,8 @@ def test_circle_81_cell_is_one_family_short_of_the_counting_bound():
 
 
 def _class_state(cls):
-    return (cls.owner.copy(), {c: (lo, bits, tuple(ms))
-                               for c, (lo, bits, ms) in cls.comps.items()})
+    return (cls.owner.copy(), {c: (*comp[:4], tuple(comp[4]))
+                               for c, comp in cls.comps.items()})
 
 
 def _mask(points):
@@ -538,7 +538,8 @@ def _check_color_class(rng, space):
     lam = rng.choice(dists)
     control = rng.choice([d for d in dists if d >= lam])
     rows = solver._Neighbours(space, lam, control)
-    cls = solver._ColorClass(rows)
+    cls = solver._ColorClass(space.size)
+    ball = _point_masks(space, control)
     stack = []
     for _ in range(2 * space.size):
         inside = [p for p, _ in stack]
@@ -560,13 +561,48 @@ def _check_color_class(rng, space):
             cls.undo(stack.pop()[1])
         inside = [p for p, _ in stack]
         want = lambda_components(space, lam, inside)
-        assert {frozenset(ms) for _, _, ms in cls.comps.values()} == \
+        assert {frozenset(comp[4]) for comp in cls.comps.values()} == \
             {frozenset(b) for b in want.blocks}
         assert want.max_diameter() <= control
-        for c, (lo, bits, ms) in cls.comps.items():
+        for c, (lo, bits, rlo, reach, ms) in cls.comps.items():
             assert (lo, bits) == _mask(ms)
+            want_reach = -1
+            for x in ms:
+                want_reach &= ball[x]
+            assert reach << rlo == want_reach
             assert (cls.owner[ms] == c).all() and c in ms
         assert (cls.owner >= 0).sum() == len(inside)
+
+
+def test_merge_is_refused_when_a_component_leaves_the_merged_reach():
+    # On interval(6,1) at lam 1, {0,1} and {3,4} are two components, and
+    # point 2 lies in the reach of each: within control of all of its
+    # members.  Joined, they span 0..4, so at control 3 the merge test
+    # refuses point 2, each component's members not all lying in the
+    # other's reach, and at control 4 it accepts.
+    sp = interval(6, 1)
+    for control, fits in ((3, False), (4, True)):
+        rows = solver._Neighbours(sp, 1, control)
+        cls = solver._ColorClass(sp.size)
+        for p in (0, 1, 3, 4):
+            assert cls.try_insert(p, rows(p)) is not None
+        assert sorted(map(sorted, cls.clusters())) == [[0, 1], [3, 4]]
+        for _, _, rlo, reach, _ in cls.comps.values():
+            assert reach >> (2 - rlo) & 1
+        before = _class_state(cls)
+        token = cls.try_insert(2, rows(2))
+        assert (token is not None) == fits
+        if token is None:
+            after = _class_state(cls)
+            assert (after[0] == before[0]).all() and after[1] == before[1]
+            continue
+        [(lo, bits, rlo, reach, ms)] = cls.comps.values()
+        assert sorted(ms) == [0, 1, 2, 3, 4]
+        assert (lo, bits) == _mask(ms)
+        assert (rlo, reach) == _mask([0, 1, 2, 3, 4])
+        cls.undo(token)
+        after = _class_state(cls)
+        assert (after[0] == before[0]).all() and after[1] == before[1]
 
 
 def test_color_class_tracks_components(random_wedge):
@@ -597,16 +633,24 @@ def test_stored_masks_are_as_wide_as_their_index_span(monkeypatch):
     # of the index range, where the circle closes.
     sp = cyclic_group(3000, 1)
     want = dim_at_scale(cyclic_group(3000, 1), 1, 2)
-    classes = []
+    classes, tables = [], []
 
     class Recording(solver._ColorClass):
         __slots__ = ()
 
-        def __init__(self, rows):
-            super().__init__(rows)
+        def __init__(self, size):
+            super().__init__(size)
             classes.append(self)
 
+    class RecordingRows(solver._Neighbours):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
     monkeypatch.setattr(solver, "_ColorClass", Recording)
+    monkeypatch.setattr(solver, "_Neighbours", RecordingRows)
     got = dim_at_scale(sp, 1, 2)
     assert (got.value, got.nodes, got.certificate) == \
         (want.value, want.nodes, want.certificate)
@@ -616,7 +660,7 @@ def test_stored_masks_are_as_wide_as_their_index_span(monkeypatch):
         assert (lo, bits) == _mask(points)
         assert bits.bit_length() <= 64 or ends <= set(points)
 
-    rows = classes[0].rows
+    [rows] = tables
     assert rows.space is sp and sp._matrix is None
     assert None not in rows.rows
     for p, (_, lo, ball) in enumerate(rows.rows):
@@ -625,7 +669,7 @@ def test_stored_masks_are_as_wide_as_their_index_span(monkeypatch):
     live = [comp for cls in classes for comp in cls.comps.values()]
     assert len(live) == len(got.certificate.families[0]) + \
         len(got.certificate.families[1])
-    for lo, bits, ms in live:
+    for lo, bits, _, _, ms in live:
         check(lo, bits, ms)
 
 

@@ -427,9 +427,8 @@ def test_dist_block_equals_stacked_rows(make):
 def _check_scans(sp):
     # With _SCAN_ELEMS at 16, a scan over 2 columns reads blocks of 8
     # rows, over 5 columns blocks of 3 and over 9 columns or all of a
-    # sum's points blocks of one: the sums' factors of 3 and 4 points
-    # are read from whole tables in some scans and block by block in
-    # others.  Rows repeat and leave a shorter last block.
+    # sum's points blocks of one.  Rows repeat and leave a shorter last
+    # block.
     truth = _oracle_table(sp)
     rng = random.Random(sp.label)
     everything = list(range(sp.size))
@@ -491,12 +490,35 @@ def test_sum_blocks_read_no_rows(monkeypatch):
         assert (fresh.densify() == truth).all(), fresh.label
 
 
-def test_sum_tables_each_small_factor_once_per_scan(monkeypatch):
-    # In a scan of 5-row blocks, each factor (of 3, 3 and 4 points) is
-    # read once, whole, against the columns' digits, and every block
-    # takes rows of that table; the scan binds the sum's reader once and
-    # each factor's once, for its table.  A one-row read tables nothing:
-    # each factor serves its one row directly.
+def test_l1_digits_are_the_sums_mixed_radix_coordinates():
+    # Factor 1 is the lowest digit, and a point's distance to another is
+    # the sum of its factors' distances between their digits.
+    sp = _small_sum()
+    factors = list(sp.structure[1])
+    points = np.arange(sp.size)
+    digits = spaces.l1_digits(factors, points)
+    assert len(digits) == len(factors)
+    stride, index = 1, np.zeros(sp.size, dtype=np.int64)
+    for f, x in zip(factors, digits):
+        assert ((0 <= x) & (x < f.size)).all()
+        index += stride * x
+        stride *= f.size
+    assert index.tolist() == points.tolist()
+    some = [11, 0, 35, 17]
+    picked = spaces.l1_digits(factors, some)
+    assert [x.tolist() for x in picked] == [x[some].tolist() for x in digits]
+    truth = _oracle_table(sp)
+    for i in some:
+        for j in range(sp.size):
+            assert truth[i, j] == sum(f.dist(int(x[i]), int(x[j]))
+                                      for f, x in zip(factors, digits))
+
+
+def test_sum_reads_each_factor_once_per_block(monkeypatch):
+    # A scan of 5-row blocks binds the sum's reader once, and each block
+    # reads each factor (of 3, 3 and 4 points) once, its rows' digits
+    # against the columns' digits, through a reader of the factor bound
+    # for that read.  A one-row read reads each factor's one row.
     sp = _small_sum()
     factors = list(sp.structure[1])
     truth = _oracle_table(sp)
@@ -521,11 +543,11 @@ def test_sum_tables_each_small_factor_once_per_scan(monkeypatch):
     assert [len(block) for _, block in scan] == [5] * 7 + [4]
     got = np.concatenate([block for _, block in scan])
     assert got.tolist() == truth[rows][:, cols].tolist()
-    assert sorted(reads) == [(0, 3), (1, 3), (2, 4)]
-    assert binds == [sp] + factors
+    assert reads == [(f, len(block)) for _, block in scan for f in range(3)]
+    assert binds == [sp] + factors * len(scan)
     reads.clear()
     assert sp.dist_row(5, cols).tolist() == truth[5, cols].tolist()
-    assert sorted(reads) == [(0, 1), (1, 1), (2, 1)]
+    assert reads == [(0, 1), (1, 1), (2, 1)]
 
 
 @pytest.mark.parametrize("a", [2, 3])
