@@ -427,8 +427,8 @@ def shrink_to_partition(space: FiniteMetricSpace,
     for fam in cover.families:
         new_fam = []
         for cl in fam:
-            kept = frozenset(p for p in sorted(cl) if p not in seen)
-            seen.update(kept)
+            kept = cl - seen
+            seen |= kept
             if kept:
                 new_fam.append(kept)
         fams.append(new_fam)
@@ -457,7 +457,7 @@ def format_certificate(cert: Certificate) -> str:
     for f, fam in enumerate(cert.cover.families):
         lines.append(f"family {f}")
         for cl in fam:
-            lines.append("cluster " + " ".join(str(p) for p in sorted(cl)))
+            lines.append("cluster " + " ".join(map(str, sorted(cl))))
     return "\n".join(lines) + "\n"
 
 
@@ -498,7 +498,7 @@ def parse_certificate(text: str) -> Certificate:
             if current is None:
                 raise ValueError("certificate: cluster before any family line")
             try:
-                pts = [int(t) for t in tokens[1:]]
+                pts = list(map(int, tokens[1:]))
             except ValueError:
                 raise ValueError(f"certificate: bad cluster line {ln!r}") from None
             if not pts:

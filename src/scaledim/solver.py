@@ -18,22 +18,25 @@ than a wrong answer.
 
 The search visits points in decreasing order of their number of
 lam-neighbours.  The pass that counts them reads the distances once,
-block by block, and keeps each point's row: its neighbour list and its
-control ball, the points within control of it, as an int bitmask.
-Each colour class keeps an owner array naming the component that holds
-each point, and per component a bitmask of its members and its
-``reach``, the AND of their balls.  Inserting a point reads the owners
-of its neighbours; it may join the components it reaches exactly when it
-lies in each one's reach, one bit test, and on a merge when each smaller
-component's mask lies in the reach merged so far, one AND per component.
-Rows hold only d(p, .), so both tests take the distances as symmetric,
-as forward checking does.  The search reads distances only to re-read
-rows it could not keep.
+block by block, and keeps each point's row: its lam-neighbours and its
+control ball, the points within control of it, each as an int bitmask.
+Each colour class keeps the bitmask of its points, a list naming the
+component that holds each point, and per component a bitmask of its
+members, its ``reach``, the AND of their balls, and its ``touch``, the
+members and the OR of their neighbour masks.  Inserting a point ANDs
+its neighbour mask with the class's and peels the result one touched
+component at a time: the lowest bit names a component, whose member mask
+then clears it.  The point may join the components it touches exactly
+when it lies in each one's reach, one bit test, and on a merge when each
+smaller component's mask lies in the reach merged so far, one AND per
+component.  So an insert costs a few integer operations per touched
+component and no numpy call.  Rows hold only d(p, .), so both tests
+take the distances as symmetric, as forward checking does.  The search
+reads distances only to re-read rows it could not keep.
 
-At its first backtrack the search starts forward checking.  Each
-component K also keeps ``touch``, the OR of its members' lam-neighbour
-masks, and each class the points it blocks: the OR of ``touch & ~reach``
-over its components.
+At its first backtrack the search starts forward checking: each class
+keeps the points it blocks, the OR of ``touch & ~reach`` over its
+components.
 Lemma: a point q blocked in a class cannot join it.  Such a q is within
 lam of some member x of a component K and farther than control from
 some member y; joining, q would share a lam-component with x, hence
@@ -43,8 +46,8 @@ an undo restores them.  The search therefore skips blocked classes,
 refuses an insert that leaves some unplaced point blocked in every
 class (no class being empty then), and visits next the least unplaced
 point blocked in all classes but one, or else the next point of the
-degree order.  Until the first backtrack it runs without the touch and
-blocked masks, so a search that never backtracks pays nothing for them.
+degree order.  Until the first backtrack it runs without the blocked
+masks, so a search that never backtracks pays nothing for them.
 
 Restricted growth (a point may open only the least empty class) stays
 complete under this state-dependent order.  Take any valid colouring
@@ -226,35 +229,32 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
 
 # -- incremental colour classes ---------------------------------------------
 
-# Row entries kept in memory by one search, counting each neighbour and
-# each 64-bit word of a ball or a touch mask; past this, a point's row
-# is read again at each visit.
+# Row words kept in memory by one search, counting each 64-bit word of a
+# near mask and of a ball; past this, a point's row is read again at
+# each visit.
 _NEIGHBOUR_LIMIT = 1 << 22
 
 
 class _Neighbours:
-    """Each point's row: its lam-neighbours other than itself, as an
-    index array, and its control ball, the points within control of it,
-    as a bitmask ``(lo, bits)`` whose bit k stands for point lo + k, lo
-    being the ball's least point.  So a ball is as wide as the index
-    span of its points, not as the space.  Forward checking also asks
-    for a point's touch mask, the point and its lam-neighbours as such a
-    bitmask, which is packed from the row on first use.
+    """Each point's row ``(nlo, near, blo, ball)``: its lam-neighbours
+    other than itself as the bitmask ``near``, whose bit k stands for
+    point nlo + k, nlo being the least neighbour (the point itself when
+    it has none); and its control ball, the points within control of it,
+    as the bitmask ``ball`` relative to its least point blo.  So a mask
+    is as wide as the index span of its points, not as the space.
 
-    Rows and touch masks are kept while they hold at most
-    _NEIGHBOUR_LIMIT entries in all, so a dense lam-graph on many points
-    costs rereads rather than memory; a row not kept is read again on
-    each use.
+    Rows are kept while their masks hold at most _NEIGHBOUR_LIMIT words
+    in all, so a dense lam-graph on many points costs rereads rather
+    than memory; a row not kept is read again on each use.
     """
 
-    __slots__ = ("space", "lam", "control", "rows", "touches", "kept")
+    __slots__ = ("space", "lam", "control", "rows", "kept")
 
     def __init__(self, space: FiniteMetricSpace, lam: int, control: int):
         self.space = space
         self.lam = lam
         self.control = control
         self.rows: list[Optional[tuple]] = [None] * space.size
-        self.touches: list[Optional[tuple]] = [None] * space.size
         self.kept = 0
 
     def __call__(self, p: int) -> tuple:
@@ -268,43 +268,29 @@ class _Neighbours:
         distances to every point, keeping those that fit."""
         near = block <= self.lam
         np.fill_diagonal(near[:, start:], False)
-        k, m = block.shape
-        flat = np.flatnonzero(near)
-        ends = np.searchsorted(flat, np.arange(m, k * m + 1, m)).tolist()
-        cols = flat % m
-        packed = np.packbits(block <= self.control, axis=1, bitorder="little")
-        width = packed.shape[1]
-        buf = packed.tobytes()
+        ball = block <= self.control
+        nlos = near.argmax(axis=1).tolist()
+        blos = ball.argmax(axis=1).tolist()
+        nbuf = np.packbits(near, axis=1, bitorder="little").tobytes()
+        bbuf = np.packbits(ball, axis=1, bitorder="little").tobytes()
+        width = len(nbuf) // len(block)
         out = []
-        begin = 0
-        for r, end in enumerate(ends):
-            near_r = cols[begin:end]
-            begin = end
-            ball = int.from_bytes(buf[r * width:(r + 1) * width], "little")
-            lo = (ball & -ball).bit_length() - 1
-            ball >>= lo
-            row = (near_r, lo, ball)
+        for r, (nlo, blo) in enumerate(zip(nlos, blos)):
+            end = (r + 1) * width
+            near_r = int.from_bytes(nbuf[r * width + (nlo >> 3):end],
+                                    "little") >> (nlo & 7)
+            if not near_r:
+                nlo = start + r
+            ball_r = int.from_bytes(bbuf[r * width + (blo >> 3):end],
+                                    "little") >> (blo & 7)
+            row = (nlo, near_r, blo, ball_r)
             out.append(row)
-            cost = near_r.size + (ball.bit_length() + 63) // 64
+            cost = (near_r.bit_length() + 63) // 64 + \
+                (ball_r.bit_length() + 63) // 64
             if self.kept + cost <= _NEIGHBOUR_LIMIT:
                 self.rows[start + r] = row
                 self.kept += cost
         return out
-
-    def touch(self, p: int) -> tuple:
-        mask = self.touches[p]
-        if mask is None:
-            near = np.append(self(p)[0], p)
-            lo = int(near.min())
-            flags = np.zeros(int(near.max()) - lo + 1, dtype=bool)
-            flags[near - lo] = True
-            packed = np.packbits(flags, bitorder="little").tobytes()
-            mask = (lo, int.from_bytes(packed, "little"))
-            cost = (flags.size + 63) // 64
-            if self.kept + cost <= _NEIGHBOUR_LIMIT:
-                self.touches[p] = mask
-                self.kept += cost
-        return mask
 
 
 def _union(lo: int, bits: int, lo2: int, bits2: int) -> tuple[int, int]:
@@ -325,62 +311,75 @@ class _ColorClass:
     """One colour class of the search: its lam-components, maintained
     incrementally with undo.
 
-    ``owner[q]`` is the id of the component holding point q, or -1 when
-    q is not in the class; a component's id is one of its points, and
-    ``comps`` maps ids to ``[lo, bits, rlo, reach, members]``: the
+    ``mask`` has bit q set when q is in the class, and ``owner[q]`` is
+    then the id of the component holding q, one of its points.  ``comps``
+    maps ids to ``[lo, bits, rlo, reach, tlo, touch, members]``: the
     member bitmask relative to the least member lo, as in a ball; the
-    reach, the AND of the members' balls, relative to rlo; and the
-    member list.  Every component has diameter at most the control, so
-    a point may join the components it touches exactly when it lies in
-    the reach of each and, on a merge, each lies in the reach of the
-    others.
+    reach, the AND of the members' balls, relative to rlo; the touch
+    mask, the members and the OR of their near masks, relative to tlo;
+    and the member list.  Every component has diameter at most the
+    control, so a point may join the components it touches exactly when
+    it lies in the reach of each and, on a merge, each lies in the reach
+    of the others.
     """
 
-    __slots__ = ("owner", "comps")
+    __slots__ = ("owner", "mask", "comps")
 
     def __init__(self, size: int):
-        self.owner = np.full(size, -1, dtype=np.int32)
+        self.owner = [-1] * size
+        self.mask = 0
         self.comps: dict[int, list] = {}
 
     def try_insert(self, p: int, row: tuple):
         """Insert point p, whose row is ``row``, if the class stays
         valid; return an undo token, or None when insertion would push a
         component over the control.  A refused insert changes nothing."""
-        near, blo, ball = row
-        touched = set(self.owner[near].tolist())
-        touched.discard(-1)
-        comps = self.comps
-        if not touched:
-            self.owner[p] = p
-            comps[p] = [p, 1, blo, ball, [p]]
+        nlo, near, blo, ball = row
+        comps, owner = self.comps, self.owner
+        hit = (self.mask >> nlo) & near
+        if not hit:
+            owner[p] = p
+            self.mask |= 1 << p
+            comps[p] = [p, 1, blo, ball, *_union(nlo, near, p, 1), [p]]
             return (p, p, (), None)
-        for c in touched:
-            _, _, rlo, reach, _ = comps[c]
+        # Peel the touched components off hit, least neighbour first: the
+        # lowest bit names one, and its member mask clears it from hit.
+        touched = []
+        while hit:
+            c = owner[nlo + (hit & -hit).bit_length() - 1]
+            lo, bits, rlo, reach, _, _, _ = comps[c]
             if p < rlo or not reach >> (p - rlo) & 1:
                 return None
+            touched.append(c)
+            hit &= ~(bits << (lo - nlo) if lo >= nlo else bits >> (nlo - lo))
         main = (c if len(touched) == 1 else
-                max(touched, key=lambda c: len(comps[c][4])))
+                max(touched, key=lambda c: len(comps[c][6])))
         comp = comps[main]
-        lo, bits, rlo, reach, big = comp
-        touched.discard(main)
+        lo, bits, rlo, reach, tlo, touch, big = comp
+        old = (lo, bits, rlo, reach, tlo, touch, len(big))
+        touched.remove(main)
         # On a merge the cross distances become internal: each smaller
         # component must lie in the reach merged so far, which starts as
         # the largest one's.
         for c in touched:
-            clo, cbits, crlo, creach, _ = comps[c]
+            clo, cbits, crlo, creach, ctlo, ctouch, _ = comps[c]
             if clo < rlo or (reach >> (clo - rlo)) & cbits != cbits:
                 return None
             lo, bits = _union(lo, bits, clo, cbits)
             rlo, reach = _meet(rlo, reach, crlo, creach)
+            tlo, touch = _union(tlo, touch, ctlo, ctouch)
         moved = tuple((c, comps.pop(c)) for c in touched) if touched else ()
-        token = (p, main, moved, (*comp[:4], len(big)))
+        token = (p, main, moved, old)
         for c, other in moved:
-            big.extend(other[4])
-            self.owner[other[4]] = main
+            big.extend(other[6])
+            for q in other[6]:
+                owner[q] = main
         comp[0], comp[1] = _union(lo, bits, p, 1)
         comp[2], comp[3] = _meet(rlo, reach, blo, ball)
+        comp[4], comp[5] = _union(tlo, touch, nlo, near)
         big.append(p)
-        self.owner[p] = main
+        owner[p] = main
+        self.mask |= 1 << p
         return token
 
     def undo(self, token) -> None:
@@ -388,45 +387,42 @@ class _ColorClass:
         # members it gained; the components it absorbed come back from
         # the token as they were.
         p, main, moved, old = token
-        self.owner[p] = -1
-        comps = self.comps
+        owner, comps = self.owner, self.comps
+        owner[p] = -1
+        self.mask ^= 1 << p
         if old is None:
             del comps[main]
             return
         comp = comps[main]
-        comp[0], comp[1], comp[2], comp[3], size = old
-        del comp[4][size:]
+        comp[:6] = old[:6]
+        del comp[6][old[6]:]
         for c, other in moved:
             comps[c] = other
-            self.owner[other[4]] = c
+            for q in other[6]:
+                owner[q] = c
 
     def clusters(self) -> list[frozenset]:
-        return [frozenset(comp[4]) for comp in self.comps.values()]
+        return [frozenset(comp[6]) for comp in self.comps.values()]
 
 
 class _Forward:
     """Forward-checking state of a search, built at its first backtrack.
 
-    ``touches[c]`` maps each component id of ``classes[c]`` to ``(tlo,
-    touch)``, the OR of its members' touch masks relative to tlo; its
-    reach is the class's.  ``blocked[c]`` has bit q set when q is in
-    some component's touch and not in its reach, and ``free`` has the
-    bits of the unplaced points; both count from point 0.  ``forced``
-    holds the unplaced points blocked in all classes but one after the
-    last insert, and ``cursor[t]`` the position in the degree order
-    before which every point was placed when depth t chose.
+    ``blocked[c]`` has bit q set when q is in the touch mask of some
+    component of ``classes[c]`` and not in its reach, and ``free`` has
+    the bits of the unplaced points; both count from point 0.
+    ``forced`` holds the unplaced points blocked in all classes but one
+    after the last insert, and ``cursor[t]`` the position in the degree
+    order before which every point was placed when depth t chose.
     """
 
-    __slots__ = ("rows", "order", "classes", "touches", "blocked", "free",
-                 "forced", "saved", "cursor")
+    __slots__ = ("order", "classes", "blocked", "free", "forced", "saved",
+                 "cursor")
 
-    def __init__(self, rows: _Neighbours, classes: list[_ColorClass],
-                 order: list[int]):
+    def __init__(self, classes: list[_ColorClass], order: list[int]):
         m = len(order)
-        self.rows = rows
         self.order = order
         self.classes = classes
-        self.touches: list[dict] = [{} for _ in classes]
         self.blocked = [0] * len(classes)
         self.free = (1 << m) - 1
         self.forced = 0
@@ -437,17 +433,10 @@ class _Forward:
         """Record the insert at depth t into class c, whose undo token
         is ``token``; return the unplaced points it leaves blocked in
         every class."""
-        p, main, moved, _ = token
-        touches = self.touches[c]
-        tlo, touch = self.rows.touch(p)
-        ids = (main,) + tuple(cid for cid, _ in moved)
-        gone = tuple((cid, touches.pop(cid)) for cid in ids if cid in touches)
-        for _, (lo, bits) in gone:
-            tlo, touch = _union(tlo, touch, lo, bits)
-        touches[main] = (tlo, touch)
-        _, _, rlo, reach, _ = self.classes[c].comps[main]
+        p, main = token[0], token[1]
+        _, _, rlo, reach, tlo, touch, _ = self.classes[c].comps[main]
         blocked = self.blocked
-        self.saved[t] = (c, p, main, gone, blocked[c])
+        self.saved[t] = (c, p, blocked[c])
         blocked[c] |= (touch << tlo) & ~(reach << rlo)
         self.free ^= 1 << p
         every = self.free
@@ -459,10 +448,7 @@ class _Forward:
         return every
 
     def undo(self, t: int) -> None:
-        c, p, main, gone, old = self.saved[t]
-        touches = self.touches[c]
-        del touches[main]
-        touches.update(gone)
+        c, p, old = self.saved[t]
         self.blocked[c] = old
         self.free |= 1 << p
 
@@ -507,9 +493,10 @@ def _search_order(space: FiniteMetricSpace, lam: int,
     rows = _Neighbours(space, lam, control)
     if m > _DEGREE_ORDER_LIMIT:
         return list(range(m)), rows
-    deg = [row[0].size for start, block in space.row_blocks()
+    deg = [row[1].bit_count() for start, block in space.row_blocks()
            for row in rows.read(start, block)]
-    return sorted(range(m), key=lambda i: (-deg[i], i)), rows
+    # A reversed sort is still stable: ties stay in index order.
+    return sorted(range(m), key=deg.__getitem__, reverse=True), rows
 
 
 def _scan(space: FiniteMetricSpace, lam: int, control: int,
@@ -595,11 +582,11 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
             if fc is None:
                 # The first backtrack: take the placed points out and
                 # place them again, so that each insert is recorded
-                # with the reach it had at its depth.
+                # with the reach and touch it had at its depth.
                 for d in reversed(range(t)):
                     classes[choice[d]].undo(undos[d])
                 at = list(points)
-                fc = _Forward(rows, classes, points)
+                fc = _Forward(classes, points)
                 for d in range(t):
                     undos[d] = classes[choice[d]].try_insert(at[d],
                                                              rows(at[d]))

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from scaledim import solver
+from scaledim import solver, spaces
 from scaledim import (FEASIBLE, INFEASIBLE, UNKNOWN, FiniteMetricSpace,
                       cyclic_group, dim_at_scale, dim_at_scale_bruteforce,
                       dim_le, from_matrix, interval, l1_sum,
@@ -450,7 +450,8 @@ def _point_masks(space, radius):
 
 
 def _forward_state(ball, touch, classes, placed):
-    # The blocked masks and free points recomputed from the classes.
+    # The blocked masks and free points recomputed from the members of
+    # each class's components.
     blocked = []
     for cls in classes:
         mask = 0
@@ -482,7 +483,7 @@ def test_forward_state_follows_inserts_and_undos(random_wedge):
         touch = _point_masks(space, lam)
         rows = solver._Neighbours(space, lam, control)
         classes = [solver._ColorClass(space.size) for _ in range(3)]
-        fc = solver._Forward(rows, classes, list(range(space.size)))
+        fc = solver._Forward(classes, list(range(space.size)))
         stack = []
         for _ in range(3 * space.size):
             placed = {p for p, _, _ in stack}
@@ -522,8 +523,8 @@ def test_circle_81_cell_is_one_family_short_of_the_counting_bound():
 
 
 def _class_state(cls):
-    return (cls.owner.copy(), {c: (*comp[:4], tuple(comp[4]))
-                               for c, comp in cls.comps.items()})
+    return (list(cls.owner), cls.mask,
+            {c: (*comp[:6], tuple(comp[6])) for c, comp in cls.comps.items()})
 
 
 def _mask(points):
@@ -540,6 +541,7 @@ def _check_color_class(rng, space):
     rows = solver._Neighbours(space, lam, control)
     cls = solver._ColorClass(space.size)
     ball = _point_masks(space, control)
+    lam_ball = _point_masks(space, lam)
     stack = []
     for _ in range(2 * space.size):
         inside = [p for p, _ in stack]
@@ -552,26 +554,30 @@ def _check_color_class(rng, space):
                 space, lam, inside + [p]).max_diameter() <= control
             assert (token is not None) == fits
             if token is None:
-                after = _class_state(cls)
-                assert (after[0] == before[0]).all()
-                assert after[1] == before[1]
+                assert _class_state(cls) == before
             else:
                 stack.append((p, token))
         else:
             cls.undo(stack.pop()[1])
         inside = [p for p, _ in stack]
         want = lambda_components(space, lam, inside)
-        assert {frozenset(comp[4]) for comp in cls.comps.values()} == \
+        assert {frozenset(comp[6]) for comp in cls.comps.values()} == \
             {frozenset(b) for b in want.blocks}
         assert want.max_diameter() <= control
-        for c, (lo, bits, rlo, reach, ms) in cls.comps.items():
+        for c, (lo, bits, rlo, reach, tlo, touch, ms) in cls.comps.items():
             assert (lo, bits) == _mask(ms)
-            want_reach = -1
+            want_reach, want_touch = -1, 0
             for x in ms:
                 want_reach &= ball[x]
+                want_touch |= lam_ball[x]
             assert reach << rlo == want_reach
-            assert (cls.owner[ms] == c).all() and c in ms
-        assert (cls.owner >= 0).sum() == len(inside)
+            # The touch mask is the members and their lam-neighbours,
+            # relative to its least point.
+            assert touch << tlo == want_touch and touch & 1
+            assert all(cls.owner[x] == c for x in ms) and c in ms
+        # The member mask and the owners name the same points.
+        assert cls.mask == sum(1 << p for p in inside)
+        assert [q for q, c in enumerate(cls.owner) if c >= 0] == sorted(inside)
 
 
 def test_merge_is_refused_when_a_component_leaves_the_merged_reach():
@@ -587,22 +593,20 @@ def test_merge_is_refused_when_a_component_leaves_the_merged_reach():
         for p in (0, 1, 3, 4):
             assert cls.try_insert(p, rows(p)) is not None
         assert sorted(map(sorted, cls.clusters())) == [[0, 1], [3, 4]]
-        for _, _, rlo, reach, _ in cls.comps.values():
+        for _, _, rlo, reach, _, _, _ in cls.comps.values():
             assert reach >> (2 - rlo) & 1
         before = _class_state(cls)
         token = cls.try_insert(2, rows(2))
         assert (token is not None) == fits
         if token is None:
-            after = _class_state(cls)
-            assert (after[0] == before[0]).all() and after[1] == before[1]
+            assert _class_state(cls) == before
             continue
-        [(lo, bits, rlo, reach, ms)] = cls.comps.values()
+        [(lo, bits, rlo, reach, _, _, ms)] = cls.comps.values()
         assert sorted(ms) == [0, 1, 2, 3, 4]
         assert (lo, bits) == _mask(ms)
         assert (rlo, reach) == _mask([0, 1, 2, 3, 4])
         cls.undo(token)
-        after = _class_state(cls)
-        assert (after[0] == before[0]).all() and after[1] == before[1]
+        assert _class_state(cls) == before
 
 
 def test_color_class_tracks_components(random_wedge):
@@ -663,14 +667,76 @@ def test_stored_masks_are_as_wide_as_their_index_span(monkeypatch):
     [rows] = tables
     assert rows.space is sp and sp._matrix is None
     assert None not in rows.rows
-    for p, (_, lo, ball) in enumerate(rows.rows):
+    for p, (_, _, lo, ball) in enumerate(rows.rows):
         check(lo, ball, np.flatnonzero(sp.dist_row(p) <= 2).tolist())
-    assert sum(ball.bit_length() > 64 for _, _, ball in rows.rows) == 4
+    assert sum(ball.bit_length() > 64 for *_, ball in rows.rows) == 4
     live = [comp for cls in classes for comp in cls.comps.values()]
     assert len(live) == len(got.certificate.families[0]) + \
         len(got.certificate.families[1])
-    for lo, bits, _, _, ms in live:
+    for lo, bits, _, _, _, _, ms in live:
         check(lo, bits, ms)
+
+
+def _check_row(space, lam, control, p, row):
+    # A row against the oracle: the lam-neighbours other than p and the
+    # control ball, each a bitmask from its least point (p when p has no
+    # neighbour).
+    nlo, near, blo, ball = row
+    d = space.dist_row(p)
+    assert near << nlo == sum(1 << int(q) for q in np.flatnonzero(d <= lam)
+                              if q != p)
+    assert ball << blo == sum(1 << int(q)
+                              for q in np.flatnonzero(d <= control))
+    assert near & 1 if near else nlo == p
+    assert ball & 1
+
+
+def _words(row):
+    _, near, _, ball = row
+    return (near.bit_length() + 63) // 64 + (ball.bit_length() + 63) // 64
+
+
+def test_neighbour_rows_match_the_oracle(monkeypatch, random_wedge):
+    # Every row, whether read by the ordering pass (in blocks of a few
+    # rows here), on visit above _DEGREE_ORDER_LIMIT, or again on each
+    # visit past _NEIGHBOUR_LIMIT, equals its recomputation from
+    # dist_row.  The order is by neighbour count, and kept counts the
+    # words of the kept masks.
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", 40)
+    cases = [random_metric_space(12, 3), interval(9, 2), cyclic_group(11, 3),
+             l1_sum([interval(3, 1), cyclic_group(4, 2)]),
+             random_wedge(random.Random(1)),
+             subspace(l1_sum([interval(4, 1), cyclic_group(5, 1)]),
+                      [0, 2, 3, 7, 11, 12, 18, 19, 24]),
+             scale(cyclic_group(7, 1), 3)]
+    for space in cases:
+        m = space.size
+        dists = sorted({int(v) for p in range(m) for v in space.dist_row(p)})
+        for lam, control in ((0, dists[len(dists) // 2]),
+                             (dists[1], dists[len(dists) // 2]),
+                             (dists[len(dists) // 2], dists[-1])):
+            order, rows = solver._search_order(space, lam, control)
+            assert None not in rows.rows
+            assert rows.kept == sum(map(_words, rows.rows))
+            for p, row in enumerate(rows.rows):
+                _check_row(space, lam, control, p, row)
+            degree = [int((space.dist_row(p) <= lam).sum()) - 1
+                      for p in range(m)]
+            assert order == sorted(range(m), key=lambda p: (-degree[p], p))
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_DEGREE_ORDER_LIMIT", 0)
+                order, rows = solver._search_order(space, lam, control)
+                assert order == list(range(m)) and rows.rows == [None] * m
+                for p in reversed(range(m)):
+                    _check_row(space, lam, control, p, rows(p))
+                    assert rows.rows[p] == rows(p)
+                assert rows.kept == sum(map(_words, rows.rows))
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_NEIGHBOUR_LIMIT", 0)
+                _, rows = solver._search_order(space, lam, control)
+                for p in range(m):
+                    _check_row(space, lam, control, p, rows(p))
+                assert rows.rows == [None] * m and rows.kept == 0
 
 
 def test_neighbour_rows_past_the_limit_are_reread(monkeypatch):

@@ -453,6 +453,43 @@ def test_multi_block_scans_equal_the_oracle(make, monkeypatch):
     _check_scans(make())
 
 
+@pytest.mark.parametrize("make", _SPACES.values(), ids=_SPACES)
+def test_dist_block_past_one_block_reads_block_by_block(make, monkeypatch):
+    # With _SCAN_ELEMS at 16, a read that fits in one block is one
+    # reader call, and a longer one fills its result with one call per
+    # block of rows, as row_blocks reads them.
+    sp = make()
+    reader = FiniteMetricSpace._reader
+    calls = []
+
+    def spy(self, cols):
+        read = reader(self, cols)
+        if self is not sp:
+            return read
+
+        def counted(I):
+            calls.append(len(I))
+            return read(I)
+
+        return counted
+
+    monkeypatch.setattr(FiniteMetricSpace, "_reader", spy)
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", 16)
+    truth = _oracle_table(sp)
+    everything = list(range(sp.size))
+    for cols in (None, everything[:5], [0]):
+        picked = everything if cols is None else cols
+        step = max(1, 16 // len(picked))
+        for rows in (everything[:step], (everything * 2)[:step + 1],
+                     everything + everything[:3]):
+            calls.clear()
+            got = sp.dist_block(rows, cols)
+            assert got.dtype == np.int64
+            assert got.tolist() == truth[rows][:, picked].tolist()
+            assert calls == [len(rows[s:s + step])
+                             for s in range(0, len(rows), step)]
+
+
 @pytest.mark.parametrize("make", _SUMS.values(), ids=_SUMS)
 def test_sum_blocks_without_factor_matrices(make, monkeypatch):
     # With the matrix limit low, a sum keeps no factor matrix and reads
