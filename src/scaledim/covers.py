@@ -18,12 +18,10 @@ another cluster,
 
 so C is more than lam from C' when min d(p, C') - max d(p, C) > lam,
 and C is within the control when the two largest entries of d(p, C) sum
-to at most it.  Each family takes one ``row_blocks`` scan of its pivots
-against its clusters laid end to end; ``np.minimum.reduceat`` over the
-cluster offsets gives each pivot's least distance to every cluster.
-The pairs and clusters these bounds leave open, and all of them on
-hand-built oracles and matrices too large to check exhaustively,
-then go to the product-hull bound when the space is an l1 sum.
+to at most it.  One ``row_blocks`` scan reads the pivots against their
+clusters laid end to end; ``np.minimum.reduceat`` over the cluster
+offsets gives each pivot's least distance to every cluster, and
+``np.maximum.reduceat`` over its own cluster its two largest.
 
 An l1 distance splits across the factors, so for clusters A and B of a
 sum, with proj_f(A) the coordinates of A's points in factor f,
@@ -31,18 +29,38 @@ sum, with proj_f(A) the coordinates of A's points in factor f,
     min d(A x B) >= sum_f min d_f(proj_f A x proj_f B),
     max d(A x A) <= sum_f max d_f(proj_f A x proj_f A),
 
-with equality when A and B are the products of their projections.  The
-bound needs no triangle inequality, so it serves sums of hand-built
-oracles too.  Each family's projections are computed once.  A factor
-term is read through the factor's own ``row_blocks``, for a run of
-checks at once: their rows laid end to end against their columns laid
-end to end, within one block of distances unless the run is a single
-check, and one check at a time on a factor served by a bare oracle.
-``np.minimum.reduceat`` over the column offsets gives each row its
-least distance to every check's columns, of which it keeps its own
-check's.
+with equality when A and B are the products of their projections: the
+product hull.  It needs no triangle inequality, so it serves sums of
+hand-built oracles too.  Each family's projections are computed once.
 
-What both bounds leave open is scanned exhaustively, block by block;
+On an l1 sum whose factors all have fast rows, a family first takes
+the hull of every check from per-factor tables.  Each factor is read
+once, each distinct projection against U_f, the union of the
+projections, and reduced to a table of least and one of largest
+distances from each projection to each point of U_f; gathering those
+at each projection's points gives every pair of projections its least
+and largest factor distance.  The pair bounds are summed over the
+factors in blocks of cluster rows.  On product clusters the tables are
+exact, so they settle every check that holds and no distance of the
+sum is read.  The pivot scan then reads only the clusters named in a
+check the tables leave open.  The tables are taken when they read no
+more than the pivot scan: with n clusters of N points,
+
+    sum_f (sum_c |proj_f c| * |U_f| + n^2) <= n * N,
+
+the n^2 being the gathers that sum a factor's term over all pairs.  The
+1,250 two-point clusters of a family over a 2,500-point circle factor
+fail it.  Any other family takes the pivot scan first, and then the
+hull of each check it leaves open: a factor term is read through the
+factor's own ``row_blocks``, for a run of checks at once, their rows
+laid end to end against their columns laid end to end, within one
+block of distances unless the run is a single check, and one check at
+a time on a factor served by a bare oracle.
+The pivot scan alone serves wedges, ``sub`` spaces and matrices, and
+on hand-built oracles and matrices too large to check exhaustively no
+bound but the hull applies.
+
+What the bounds leave open is scanned exhaustively, block by block;
 only that scan reports violations, and it keeps the first extreme pair
 in point order whatever the blocks, so a report does not depend on
 which pairs the bounds settled.  On an l1 sum the scan cuts its rows
@@ -89,11 +107,16 @@ class ScaledCover:
     @staticmethod
     def of(lam: int, control: int,
            families: Iterable[Iterable[Iterable[int]]]) -> "ScaledCover":
+        """The cover with each family's clusters ordered by their least
+        point.  A nonempty frozenset cluster is taken as given, so it
+        should hold Python ints; any other iterable is frozen with
+        ``frozenset(map(int, ...))``."""
         norm = []
         for fam in families:
             clusters = []
             for cluster in fam:
-                cl = frozenset(map(int, cluster))
+                cl = (cluster if isinstance(cluster, frozenset)
+                      else frozenset(map(int, cluster)))
                 if not cl:
                     raise ValueError("clusters must be nonempty")
                 clusters.append(cl)
@@ -149,13 +172,17 @@ def _cluster_arrays(fam: Sequence[frozenset], size: int) -> list[np.ndarray]:
     point outside 0..size-1 is a usage error."""
     arrays = []
     for cl in fam:
-        pts = sorted(cl)
-        if not pts:
+        if not cl:
             raise ValueError("clusters must be nonempty")
+        try:
+            pts = np.fromiter(cl, np.intp, len(cl))
+        except OverflowError:  # a point past any index is out of range
+            pts = np.array([-1], dtype=np.intp)
+        pts.sort()
         if pts[0] < 0 or pts[-1] >= size:
-            bad = next(p for p in pts if not 0 <= p < size)
+            bad = min(p for p in cl if not 0 <= p < size)
             raise ValueError(f"cover point {bad} out of range for size {size}")
-        arrays.append(np.array(pts, dtype=np.intp))
+        arrays.append(pts)
     return arrays
 
 
@@ -169,37 +196,159 @@ def _open_checks(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
     n = len(arrays)
     if not space.metric_guaranteed or not n:
         return itertools.combinations(range(n), 2), range(n)
-    offsets = np.cumsum([0] + [len(pts) for pts in arrays])
-    pairs, clusters = [], []
+    sizes = [len(pts) for pts in arrays]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    bounds = offsets.tolist()
+    # Entry k of the clusters laid end to end lies in cluster owner[k];
+    # own[k] is its distance from that cluster's pivot.
+    owner = np.repeat(np.arange(n), sizes)
+    own = np.empty(bounds[-1], dtype=np.int64)
+    reach = np.empty(n, dtype=np.int64)
+    pairs = []
     for start, block in space.row_blocks([pts[0] for pts in arrays],
                                          np.concatenate(arrays)):
-        c1 = np.arange(start, start + len(block))
-        # The two largest distances from each pivot into its own cluster.
-        top = [np.sort(row[lo:hi])[-2:] for row, lo, hi in
-               zip(block, offsets[start:], offsets[start + 1:])]
-        reach = np.array([t[-1] for t in top])
-        gap = np.minimum.reduceat(block, offsets[:-1], axis=1) - reach[:, None]
-        i, c2 = np.nonzero((gap <= lam) & (c1[:, None] < np.arange(n)))
-        pairs += zip((start + i).tolist(), c2.tolist())
-        clusters += c1[[t.sum() > control for t in top]].tolist()
-    return pairs, clusters
+        stop = start + len(block)
+        lo, hi = bounds[start], bounds[stop]
+        own[lo:hi] = block[owner[lo:hi] - start, np.arange(lo, hi)]
+        reach[start:stop] = np.maximum.reduceat(own[lo:hi],
+                                                offsets[start:stop] - lo)
+        gap = (np.minimum.reduceat(block, offsets[:-1], axis=1)
+               - reach[start:stop, None])
+        i, c2 = np.nonzero(gap <= lam)
+        keep = c2 > start + i
+        pairs += zip((start + i[keep]).tolist(), c2[keep].tolist())
+    # The second largest distance from each pivot into its cluster: the
+    # reach again on a tie, 0 for a single point.
+    top = own == reach[owner]
+    second = np.where(
+        np.add.reduceat(top, offsets[:-1], dtype=np.intp) > 1, reach,
+        np.maximum.reduceat(np.where(top, 0, own), offsets[:-1]))
+    return pairs, np.flatnonzero(reach + second > control).tolist()
 
 
-def _hull_open(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
-               pairs: Iterable[tuple[int, int]], clusters: Iterable[int],
-               lam: int, control: int
-               ) -> tuple[Iterable[tuple[int, int]], Iterable[int]]:
-    """The pairs and clusters of one family that the product-hull bound
-    leaves open, in the order given: all of them unless the space is an
-    l1 sum."""
+def _open_family(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
+                 lam: int, control: int
+                 ) -> tuple[Iterable[tuple[int, int]], Iterable[int]]:
+    """The cluster pairs (c1, c2), c1 < c2, and the clusters of one
+    family that no bound settles, in (c1, c2) and c order.  Off l1 sums
+    only the pivot bounds apply.  On an l1 sum that ``_hull_tables``
+    serves, the tables come first, and the pivot bounds read only the
+    clusters named in a check they leave open; on any other l1 sum the
+    pivot bounds come first, then the hull of each check they leave
+    open."""
     if space.structure is None or space.structure[0] != "sum" or not arrays:
-        return pairs, clusters
+        return _open_checks(space, arrays, lam, control)
     factors = space.structure[1]
     proj = _projections(factors, arrays)
-    wide = _unsettled(factors, proj, ((c, c) for c in clusters), control,
-                      largest=True)
-    return (_unsettled(factors, proj, pairs, lam, largest=False),
-            (c for c, _ in wide))
+    tables = _hull_tables(factors, proj, sum(len(pts) for pts in arrays))
+    if tables is None:
+        pairs, clusters = _open_checks(space, arrays, lam, control)
+        wide = _unsettled(factors, proj, ((c, c) for c in clusters), control,
+                          largest=True)
+        return (_unsettled(factors, proj, pairs, lam, largest=False),
+                (c for c, _ in wide))
+    pairs, clusters = _table_open(tables, len(arrays), lam, control)
+    named = sorted({c for pair in pairs for c in pair}.union(clusters))
+    if not named or not space.metric_guaranteed:
+        return pairs, clusters
+    sub_pairs, sub_clusters = _open_checks(
+        space, [arrays[c] for c in named], lam, control)
+    pivot_open = {(named[i], named[j]) for i, j in sub_pairs}
+    wide = {named[i] for i in sub_clusters}
+    return ([pair for pair in pairs if pair in pivot_open],
+            [c for c in clusters if c in wide])
+
+
+def _hull_tables(factors: Sequence[FiniteMetricSpace],
+                 proj: Sequence[tuple[np.ndarray, np.ndarray]], points: int
+                 ) -> Optional[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The product-hull tables of a family of an l1 sum, per factor:
+    each cluster's class (clusters with equal projections on the factor
+    share one) and two classes x classes tables, the least and the
+    largest factor distance from one class's projection (rows) to
+    another's (columns).  Summed over the factors, entry (c1, c2) is
+    ``_hull_bounds`` of the check (c1, c2).
+
+    A factor is read once, each class's projection against U, the union
+    of the projections, and reduced by class to a classes x U table of
+    minima and one of maxima; gathering those at each class's columns
+    gives the classes x classes tables, in blocks of class rows.  None
+    when a factor is a bare oracle, or when the tables read more
+    distances than the family's pivot scan: for n clusters of ``points``
+    points, sum_f (sum_c |proj_f c| * |U_f| + n^2) > n * points, the
+    n^2 being the gathers that sum a factor's tables over all pairs.
+    The tables hold no more entries than that count."""
+    n = len(proj[0][1]) - 1
+    unions = []
+    for g, (coords, _) in zip(factors, proj):
+        member = np.zeros(g.size, dtype=bool)
+        member[coords] = True
+        unions.append(member)
+    if not all(g.has_fast_rows() for g in factors) or sum(
+            len(coords) * int(member.sum()) + n * n
+            for (coords, _), member in zip(proj, unions)) > n * points:
+        return None
+    tables = []
+    for g, (coords, off), member in zip(factors, proj, unions):
+        # Each cluster's class, numbered by first appearance, and the
+        # first cluster of each class.
+        ids, firsts, cls = {}, [], []
+        bounds = off.tolist()
+        for c in range(n):
+            key = coords[bounds[c]:bounds[c + 1]].tobytes()
+            k = ids.setdefault(key, len(firsts))
+            if k == len(firsts):
+                firsts.append(c)
+            cls.append(k)
+        rows, starts = _segments(coords, off, np.array(firsts, dtype=np.intp))
+        union = np.flatnonzero(member)
+        column = (np.cumsum(member) - 1)[rows]  # each row's column in U
+        low = np.full((len(firsts), len(union)), np.iinfo(np.int64).max)
+        high = np.full((len(firsts), len(union)), np.iinfo(np.int64).min)
+        for start, block in g.row_blocks(rows, union):
+            # The classes whose rows meet this block, and where each
+            # one's rows start in it.
+            lo = np.searchsorted(starts, start, side="right") - 1
+            hi = np.searchsorted(starts, start + len(block))
+            cuts = np.maximum(starts[lo:hi] - start, 0)
+            np.minimum(low[lo:hi], np.minimum.reduceat(block, cuts),
+                       out=low[lo:hi])
+            np.maximum(high[lo:hi], np.maximum.reduceat(block, cuts),
+                       out=high[lo:hi])
+        least = np.empty((len(firsts), len(firsts)), dtype=np.int64)
+        largest = np.empty_like(least)
+        step = spaces._block_rows(len(rows))
+        for r in range(0, len(firsts), step):
+            least[r:r + step] = np.minimum.reduceat(
+                low[r:r + step, column], starts, axis=1)
+            largest[r:r + step] = np.maximum.reduceat(
+                high[r:r + step, column], starts, axis=1)
+        tables.append((np.array(cls, dtype=np.intp), least, largest))
+    return tables
+
+
+def _table_open(tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                n: int, lam: int, control: int
+                ) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pairs (c1, c2), c1 < c2, whose summed least table entry is
+    at most lam, and the clusters whose summed largest diagonal entry is
+    over the control, in order.  The pair bounds are summed in blocks of
+    cluster rows of at most ``spaces._SCAN_ELEMS`` entries, each row from
+    its own cluster on, so no clusters x clusters table is held."""
+    wide = np.zeros(n, dtype=np.int64)
+    for cls, _, largest in tables:
+        wide += largest[cls, cls]
+    pairs = []
+    step = spaces._block_rows(n)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        bound = np.zeros((stop - start, n - start), dtype=np.int64)
+        for cls, least, _ in tables:
+            bound += least[np.ix_(cls[start:stop], cls[start:])]
+        i, j = np.nonzero(bound <= lam)
+        keep = j > i
+        pairs += zip((start + i[keep]).tolist(), (start + j[keep]).tolist())
+    return pairs, np.flatnonzero(wide > control).tolist()
 
 
 def _unsettled(factors: Sequence[FiniteMetricSpace],
@@ -375,11 +524,13 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover) -> ValidationRe
     refuses) are usage errors and raise ValueError;
     everything else is reported as Violation entries (up to
     MAX_VIOLATIONS of them, coverage first, then separation, then
-    diameters).  Cluster pairs and diameters that the family's pivot
-    scan settles (when ``space.metric_guaranteed``) or its product-hull
-    bound settles (when the space is an l1 sum; see the module
-    docstring) skip the exhaustive scan; that scan alone produces
-    violations.
+    diameters).  Cluster pairs and diameters that a bound settles skip
+    the exhaustive scan: the product hull on an l1 sum, from per-factor
+    tables when they read no more than the pivot scan and per check
+    otherwise, and the family's pivot scan when
+    ``space.metric_guaranteed`` (see the module docstring).  Every bound
+    is sound and the scan alone produces violations, so the report does
+    not depend on which bounds ran.
     """
     families = [_cluster_arrays(fam, space.size) for fam in cover.families]
     found = _violations(space, families, cover.scale.lam, cover.scale.control)
@@ -397,9 +548,7 @@ def _violations(space: FiniteMetricSpace, families: list[list[np.ndarray]],
         yield Violation("uncovered-point", (int(p),), 0)
 
     for f, arrays in enumerate(families):
-        pairs, clusters = _open_checks(space, arrays, lam, control)
-        pairs, clusters = _hull_open(space, arrays, pairs, clusters,
-                                     lam, control)
+        pairs, clusters = _open_family(space, arrays, lam, control)
         for c1, c2 in pairs:
             best = _first_extreme(space, arrays[c1], arrays[c2], largest=False)
             if best[0] <= lam:
@@ -483,8 +632,8 @@ def parse_certificate(text: str) -> Certificate:
     except ValueError:
         raise ValueError("certificate header fields must be integers") from None
 
-    families: list[list[list[int]]] = []
-    current: Optional[list[list[int]]] = None
+    families: list[list[frozenset]] = []
+    current: Optional[list[frozenset]] = None
     for ln in lines[pos:]:
         ln = ln.strip()
         tokens = ln.split()
@@ -498,7 +647,7 @@ def parse_certificate(text: str) -> Certificate:
             if current is None:
                 raise ValueError("certificate: cluster before any family line")
             try:
-                pts = list(map(int, tokens[1:]))
+                pts = frozenset(map(int, tokens[1:]))
             except ValueError:
                 raise ValueError(f"certificate: bad cluster line {ln!r}") from None
             if not pts:

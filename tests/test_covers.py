@@ -77,6 +77,37 @@ def test_cluster_normalisation_orders_by_min():
     assert mins == sorted(mins)
 
 
+def test_frozenset_clusters_are_taken_as_given():
+    """A nonempty frozenset cluster is kept as it is; anything else is
+    frozen as ints, and an empty cluster is refused either way.  Parsed
+    certificates hold frozensets of ints."""
+    kept, other = frozenset({3, 4}), frozenset({0})
+    cover = ScaledCover.of(1, 2, [[kept, [np.int64(2), 1]], [other]])
+    assert cover.families[0][1] is kept and cover.families[1][0] is other
+    assert cover.families[0][0] == {1, 2}
+    assert {type(p) for p in cover.families[0][0]} == {int}
+    for empty in (frozenset(), []):
+        with pytest.raises(ValueError, match="clusters must be nonempty"):
+            ScaledCover.of(1, 2, [[empty]])
+    back = parse_certificate(format_certificate(Certificate("x", 5, cover)))
+    assert back.cover == cover
+    assert {type(p) for fam in back.cover.families for cl in fam
+            for p in cl} == {int}
+
+
+def test_cluster_arrays_are_sorted_and_name_the_least_bad_point():
+    arrays = covers._cluster_arrays([frozenset({5, 1, 3}), frozenset({0})], 6)
+    assert [pts.tolist() for pts in arrays] == [[1, 3, 5], [0]]
+    assert {pts.dtype for pts in arrays} == {np.dtype(np.intp)}
+    # A point past any index overflows the array, and is out of range.
+    for cl, bad in [({1, 7, 9}, 7), ({-2, 3, -5, 8}, -5),
+                    ({2**70, 7, 1}, 7), ({2**70, 1}, 2**70),
+                    ({-2**70, 1}, -2**70)]:
+        with pytest.raises(ValueError, match=f"^cover point {bad} out of "
+                                             f"range for size 6$"):
+            covers._cluster_arrays([frozenset({0}), frozenset(cl)], 6)
+
+
 def test_shrink_removes_overlaps_and_is_idempotent():
     sp = path4()
     overlapping = ScaledCover.of(1, 2, [[[0, 1, 2]], [[2, 3]]])
@@ -414,25 +445,110 @@ def test_one_pivot_scan_per_family(monkeypatch):
     assert len(binds) == len(cover.families) + len(extremes)
 
 
-@pytest.mark.parametrize("spec, lam, control", [
-    ("group(3,3)", 9, 18),
-    ("group(3,4)", 139, 278),
-    ("sum(circle(2500,1),interval(1,3))", 1, 2),
+@pytest.mark.parametrize("elems", [1, 7, spaces._SCAN_ELEMS])
+def test_pivot_bounds_equal_a_row_by_row_reference(elems, monkeypatch):
+    """The pivot scan leaves open a pair (c1, c2), c1 < c2, when the
+    least distance from c1's pivot to c2 less the pivot's reach into c1
+    is at most lam, and a cluster when the two largest distances from
+    its pivot into it sum to more than the control: as a loop over the
+    pivot rows finds, also in blocks that split the family's pivots."""
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
+    rng = random.Random(elems)
+    for _ in range(40):
+        size = rng.randint(1, 30)
+        space = random_metric_space(size, rng, max_entry=rng.randint(1, 9))
+        owner = [rng.randrange(rng.randint(1, size)) for _ in range(size)]
+        arrays = [np.array([p for p in range(size) if owner[p] == c],
+                           dtype=np.intp) for c in sorted(set(owner))]
+        lam, control = rng.randint(0, 9), rng.randint(0, 18)
+        pairs, wide = [], []
+        for c1, pts in enumerate(arrays):
+            row = space.dist_row(int(pts[0]))
+            top = sorted(row[pts].tolist())[-2:]
+            pairs += [(c1, c2) for c2 in range(c1 + 1, len(arrays))
+                      if row[arrays[c2]].min() - top[-1] <= lam]
+            if sum(top) > control:
+                wide.append(c1)
+        assert covers._open_checks(space, arrays, lam, control) == (pairs,
+                                                                    wide)
+
+
+@pytest.mark.parametrize("spec, lam, control, binds_per_family", [
+    ("group(3,3)", 9, 18, 0),
+    ("group(3,4)", 139, 278, 0),
+    ("sum(circle(2500,1),interval(1,3))", 1, 2, 1),
 ])
 def test_sum_covers_need_no_exhaustive_scan(spec, lam, control,
-                                            monkeypatch):
-    """What the pivot bounds leave open on these sums' certificates, the
-    hull bound settles: neighbouring product clusters exactly lam + 1
-    apart, and small clusters whose pivot rows overestimate them.  The
-    hull reads the factors, so the sum binds one reader per family, for
-    its pivot scan."""
+                                            binds_per_family, monkeypatch):
+    """No check of these sums' certificates reaches the exhaustive scan.
+    The product clusters of the two groups are settled by their hull
+    tables, which read only the factors, so the sum binds no reader.
+    The 5000-point sum's tables would read more than its pivot scan, so
+    each family binds one reader, for that scan, and the hull bound
+    settles what the pivots leave open: neighbouring clusters exactly
+    lam + 1 apart, and small clusters whose pivot rows overestimate
+    them."""
     space = build_space(parse_spec(spec))
     cover = dim_at_scale(space, lam, control).certificate
     binds = _count_binds(monkeypatch, space)
     extremes = _count_extremes(monkeypatch)
     assert validate_cover(space, cover).ok
     assert extremes == []
-    assert len(binds) == len(cover.families)
+    assert len(binds) == binds_per_family * len(cover.families)
+
+
+def test_pivots_read_only_the_clusters_the_tables_leave_open(monkeypatch):
+    """With one point moved between two 729-point product clusters of
+    the first certify job, the tables leave open only checks on those
+    two clusters: before its first scan the sum binds one reader, for
+    the pivot scan of their points alone."""
+    space = build_space(parse_spec(
+        "sum(circle(3,1),circle(9,2),circle(27,10),circle(9,140))"))
+    cover = dim_at_scale(space, 139, 278).certificate
+    first = list(cover.families[0])
+    moved = max(first[0])
+    first[0], first[1] = first[0] - {moved}, first[1] | {moved}
+    bad = ScaledCover.of(139, 278, [first] + list(cover.families[1:]))
+    expected = _reference_report(space, bad)
+    binds = _count_binds(monkeypatch, space)
+    extremes = _count_extremes(monkeypatch)
+    before_scans = []
+    scan = covers._first_extreme
+    monkeypatch.setattr(covers, "_first_extreme", lambda *args, **kwargs: (
+        before_scans.append(len(binds)) or scan(*args, **kwargs)))
+    report = validate_cover(space, bad)
+    assert report == expected
+    assert [v.kind for v in report.violations] == ["family-separation",
+                                                   "cluster-diameter"]
+    assert len(extremes) == 2 and before_scans[0] == 1
+    assert sorted(binds[0].tolist()) == sorted(first[0] | first[1])
+
+
+def test_a_bare_oracle_factor_keeps_the_per_check_hull(monkeypatch):
+    """Tables need fast factor rows: the same cover of a line times a
+    circle is settled by the tables, with no per-check hull bound, when
+    the line is a matrix, and by the per-check hull bound when it is a
+    bare oracle, whose every distance is a call.  Neither binds a
+    reader of the sum or runs a scan."""
+    monkeypatch.setattr(spaces, "MATRIX_CACHE_LIMIT", 10)
+    bare = FiniteMetricSpace(30, lambda i, j: abs(i - j), basepoint=0)
+    for line in [interval(29, 1), bare]:
+        space = l1_sum([line, cyclic_group(5, 1)])
+        # Each cluster is one line point times the circle, 1 wide; the
+        # families alternate along the line, so theirs are 2 apart.
+        cover = ScaledCover.of(1, 2, [
+            [spaces.l1_blocks(space.structure[1], [[[x]], [range(5)]])[0]
+             for x in range(parity, 30, 2)] for parity in (0, 1)])
+        binds = _count_binds(monkeypatch, space)
+        extremes = _count_extremes(monkeypatch)
+        hulls, hull_bounds = [], covers._hull_bounds
+        monkeypatch.setattr(covers, "_hull_bounds", lambda *args, **kwargs: (
+            hulls.append(args) or hull_bounds(*args, **kwargs)))
+        assert validate_cover(space, cover).ok
+        assert extremes == [] and binds == []
+        assert bool(hulls) == (not line.has_fast_rows())
+        monkeypatch.undo()
+        monkeypatch.setattr(spaces, "MATRIX_CACHE_LIMIT", 10)
 
 
 def _oracle_sum():
@@ -444,24 +560,19 @@ def _oracle_sum():
     return l1_sum([left, right])
 
 
-@pytest.mark.parametrize("make", [
-    lambda: build_space(parse_spec("group(3,3)")),
-    lambda: build_space(parse_spec("scale(group(3,3),2)")),
-    lambda: l1_sum([l1_sum([cyclic_group(3, 1), interval(2, 3)]),
-                    cyclic_group(5, 2)]),
-    _oracle_sum,
-], ids=["group", "scaled", "nested", "oracles"])
-@pytest.mark.parametrize("elems", [spaces._SCAN_ELEMS, 40, 1])
-def test_hull_bounds_against_the_oracle(make, elems, monkeypatch):
-    """Over every pair of some products of factor sets and some random
-    sets, the hull bounds bracket the least and the largest distance
-    read from the scalar oracle, and meet them on two products: with
-    the checks read in long runs, in runs of a few checks and blocks of
-    a few rows, and each on its own, a row a block."""
-    monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
-    space = make()
-    kind, factors = space.structure
-    assert kind == "sum"
+_HULL_SPACES = {
+    "group": lambda: build_space(parse_spec("group(3,3)")),
+    "scaled": lambda: build_space(parse_spec("scale(group(3,3),2)")),
+    "nested": lambda: l1_sum([l1_sum([cyclic_group(3, 1), interval(2, 3)]),
+                              cyclic_group(5, 2)]),
+    "oracles": _oracle_sum,
+}
+
+
+def _hull_sets(space):
+    """Some products of factor sets and some random sets of a sum, as
+    sorted arrays, and which of them are products."""
+    factors = space.structure[1]
     rng = random.Random(space.label)
     sets, products = [], []
     for _ in range(8):
@@ -470,17 +581,84 @@ def test_hull_bounds_against_the_oracle(make, elems, monkeypatch):
         sets.append(spaces.l1_blocks(factors, [[p] for p in picks])[0])
         sets.append(rng.sample(range(space.size), rng.randint(1, 5)))
         products += [True, False]
-    arrays = [np.array(sorted(s), dtype=np.intp) for s in sets]
-    a, b = np.array([(i, j) for i in range(len(sets))
-                     for j in range(len(sets))]).T
+    return [np.array(sorted(s), dtype=np.intp) for s in sets], products
+
+
+@pytest.mark.parametrize("name", list(_HULL_SPACES))
+@pytest.mark.parametrize("elems", [spaces._SCAN_ELEMS, 40, 1])
+def test_hull_bounds_against_the_oracle(name, elems, monkeypatch):
+    """Over every pair of some products of factor sets and some random
+    sets, the hull bounds bracket the least and the largest distance
+    read from the scalar oracle, and meet them on two products: with
+    the checks read in long runs, in runs of a few checks and blocks of
+    a few rows, and each on its own, a row a block."""
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
+    space = _HULL_SPACES[name]()
+    kind, factors = space.structure
+    assert kind == "sum"
+    arrays, products = _hull_sets(space)
+    a, b = np.array([(i, j) for i in range(len(arrays))
+                     for j in range(len(arrays))]).T
     proj = covers._projections(factors, arrays)
     low = covers._hull_bounds(factors, proj, a, b, largest=False)
     high = covers._hull_bounds(factors, proj, a, b, largest=True)
     for k, (i, j) in enumerate(zip(a, b)):
-        d = [space.dist(p, q) for p in sets[i] for q in sets[j]]
+        d = [space.dist(p, q) for p in arrays[i] for q in arrays[j]]
         assert low[k] <= min(d) and high[k] >= max(d)
         if products[i] and products[j]:
             assert (low[k], high[k]) == (min(d), max(d))
+
+
+@pytest.mark.parametrize("name", ["group", "scaled", "nested"])
+@pytest.mark.parametrize("elems", [spaces._SCAN_ELEMS, 40, 1])
+def test_hull_tables_equal_the_hull_bounds(name, elems, monkeypatch):
+    """Summed over the factors, the tables give every ordered pair of
+    the sets of the test above ``_hull_bounds``' least and largest
+    bound, the first set's projections as rows, in every block size;
+    ``_table_open`` keeps exactly the pairs c1 < c2 whose least bound
+    is at most lam and the sets whose largest is over the control."""
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
+    space = _HULL_SPACES[name]()
+    factors = space.structure[1]
+    arrays, _ = _hull_sets(space)
+    n = len(arrays)
+    proj = covers._projections(factors, arrays)
+    tables = covers._hull_tables(factors, proj, 10**9)
+    assert len(tables) == len(factors)
+    a, b = np.indices((n, n)).reshape(2, -1)
+    for which, largest in [(1, False), (2, True)]:
+        summed = sum(t[which][t[0][a], t[0][b]] for t in tables)
+        assert summed.tolist() == covers._hull_bounds(
+            factors, proj, a, b, largest=largest).tolist()
+    low = sum(least[np.ix_(cls, cls)] for cls, least, _ in tables)
+    high = sum(largest[cls, cls] for cls, _, largest in tables)
+    for lam, control in [(0, 0), (int(np.median(low)), int(np.median(high)))]:
+        pairs, wide = covers._table_open(tables, n, lam, control)
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if low[i, j] <= lam]
+        assert wide == [c for c in range(n) if high[c] > control]
+
+
+def test_hull_tables_need_fast_rows_and_few_reads(monkeypatch):
+    """No tables for a factor served by a bare oracle, nor when they
+    read more than the pivot scan: with n clusters of N points, when
+    sum_f (sum_c |proj_f c| * |U_f| + n^2) > n * N."""
+    monkeypatch.setattr(spaces, "MATRIX_CACHE_LIMIT", 2)
+    space = _oracle_sum()
+    assert not space.structure[1][0].has_fast_rows()
+    arrays, _ = _hull_sets(space)
+    proj = covers._projections(space.structure[1], arrays)
+    assert covers._hull_tables(space.structure[1], proj, 10**6) is None
+    space = _HULL_SPACES["group"]()
+    factors = space.structure[1]
+    arrays, _ = _hull_sets(space)
+    for n in (1, len(arrays)):  # n * points meets the count exactly at 1
+        proj = covers._projections(factors, arrays[:n])
+        reads = sum(len(coords) * len(np.unique(coords)) + n * n
+                    for coords, _ in proj)
+        points = -(-reads // n)  # the fewest with n * points >= reads
+        assert covers._hull_tables(factors, proj, points) is not None
+        assert covers._hull_tables(factors, proj, points - 1) is None
 
 
 def test_read_groups_fill_a_block():
