@@ -31,34 +31,34 @@ sum, with proj_f(A) the coordinates of A's points in factor f,
 
 with equality when A and B are the products of their projections: the
 product hull.  It needs no triangle inequality, so it serves sums of
-hand-built oracles too.  Each family's projections are computed once.
+hand-built oracles too.
 
-On an l1 sum whose factors all have fast rows, a family first takes
-the hull of every check from per-factor tables.  Each factor is read
-once, each distinct projection against U_f, the union of the
-projections, and reduced to a table of least and one of largest
-distances from each projection to each point of U_f; gathering those
-at each projection's points gives every pair of projections its least
-and largest factor distance.  The pair bounds are summed over the
-factors in blocks of cluster rows.  On product clusters the tables are
-exact, so they settle every check that holds and no distance of the
-sum is read.  The pivot scan then reads only the clusters named in a
-check the tables leave open.  The tables are taken when they read no
-more than the pivot scan: with n clusters of N points,
+A family of an l1 sum takes the hull of every check from per-factor
+tables.  Each factor is read once, each distinct projection against
+U_f, the union of the projections, and reduced to a table of least and
+one of largest distances from each projection to each point of U_f;
+gathering those at each projection's points gives every pair of
+projections its least and largest factor distance.  The pair bounds are
+summed over the factors in blocks of cluster rows.  On product clusters
+the tables are exact, so they settle every check that holds and no
+distance of the sum is read.  The pivot scan then reads only the
+clusters named in a check the tables leave open.  On a guaranteed
+metric the tables are refused when they would read more factor entries
+than the family's pivot scan.  For n clusters holding N points in all,
+that scan reads n * N entries of the sum, each of them one entry of
+each of the F factors, so the tables are refused when
 
-    sum_f (sum_c |proj_f c| * |U_f| + n^2) <= n * N,
+    sum_f sum_c |proj_f c| * |U_f| > F * n * N.
 
-the n^2 being the gathers that sum a factor's term over all pairs.  The
-1,250 two-point clusters of a family over a 2,500-point circle factor
-fail it.  Any other family takes the pivot scan first, and then the
-hull of each check it leaves open: a factor term is read through the
-factor's own ``row_blocks``, for a run of checks at once, their rows
-laid end to end against their columns laid end to end, within one
-block of distances unless the run is a single check, and one check at
-a time on a factor served by a bare oracle.
-The pivot scan alone serves wedges, ``sub`` spaces and matrices, and
-on hand-built oracles and matrices too large to check exhaustively no
-bound but the hull applies.
+Both 1,250-cluster families of the ``dim`` certificate of
+sum(circle(2500,1),interval(1,3)) at (1, 2) take the tables; the one
+family of sum(circle(3000,1),interval(1,3)) at (1, 3000), two
+3,000-point clusters, is refused them and takes the pivot scan alone.
+On a space whose metric is not guaranteed no pivot scan runs, so the
+tables are always taken; a factor served by a bare oracle is read
+through its reader, a call per distance.  The pivot scan alone serves
+wedges, ``sub`` spaces and matrices, and on hand-built oracles and
+matrices too large to check exhaustively no bound but the hull applies.
 
 What the bounds leave open is scanned exhaustively, block by block;
 only that scan reports violations, and it keeps the first extreme pair
@@ -92,9 +92,6 @@ from .spaces import FiniteMetricSpace, ScalePair
 
 CERTIFICATE_HEADER = "scaled-cover 1"
 MAX_VIOLATIONS = 16  # validate_cover reports at most this many
-# The product-hull bound takes a family's open checks this many at a
-# time.
-_HULL_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -231,22 +228,20 @@ def _open_family(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
                  ) -> tuple[Iterable[tuple[int, int]], Iterable[int]]:
     """The cluster pairs (c1, c2), c1 < c2, and the clusters of one
     family that no bound settles, in (c1, c2) and c order.  Off l1 sums
-    only the pivot bounds apply.  On an l1 sum that ``_hull_tables``
-    serves, the tables come first, and the pivot bounds read only the
-    clusters named in a check they leave open; on any other l1 sum the
-    pivot bounds come first, then the hull of each check they leave
-    open."""
+    only the pivot bounds apply.  On an l1 sum the hull tables come
+    first, and the pivot bounds read only the clusters named in a check
+    they leave open; when ``_hull_tables`` refuses the family, the pivot
+    bounds alone."""
     if space.structure is None or space.structure[0] != "sum" or not arrays:
         return _open_checks(space, arrays, lam, control)
     factors = space.structure[1]
-    proj = _projections(factors, arrays)
-    tables = _hull_tables(factors, proj, sum(len(pts) for pts in arrays))
+    # Each entry of the sum the pivot scan reads is one entry of each
+    # factor; with no pivot scan the tables are not weighed against it.
+    budget = (len(factors) * len(arrays) * sum(len(pts) for pts in arrays)
+              if space.metric_guaranteed else None)
+    tables = _hull_tables(factors, _projections(factors, arrays), budget)
     if tables is None:
-        pairs, clusters = _open_checks(space, arrays, lam, control)
-        wide = _unsettled(factors, proj, ((c, c) for c in clusters), control,
-                          largest=True)
-        return (_unsettled(factors, proj, pairs, lam, largest=False),
-                (c for c, _ in wide))
+        return _open_checks(space, arrays, lam, control)
     pairs, clusters = _table_open(tables, len(arrays), lam, control)
     named = sorted({c for pair in pairs for c in pair}.union(clusters))
     if not named or not space.metric_guaranteed:
@@ -260,33 +255,33 @@ def _open_family(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
 
 
 def _hull_tables(factors: Sequence[FiniteMetricSpace],
-                 proj: Sequence[tuple[np.ndarray, np.ndarray]], points: int
+                 proj: Sequence[tuple[np.ndarray, np.ndarray]],
+                 budget: Optional[int]
                  ) -> Optional[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """The product-hull tables of a family of an l1 sum, per factor:
     each cluster's class (clusters with equal projections on the factor
     share one) and two classes x classes tables, the least and the
     largest factor distance from one class's projection (rows) to
-    another's (columns).  Summed over the factors, entry (c1, c2) is
-    ``_hull_bounds`` of the check (c1, c2).
+    another's (columns).  Summed over the factors, entry (c1, c2) is at
+    most the least distance from cluster c1 to cluster c2 (at least the
+    largest), and equal to it when both clusters are products.
 
     A factor is read once, each class's projection against U, the union
-    of the projections, and reduced by class to a classes x U table of
-    minima and one of maxima; gathering those at each class's columns
-    gives the classes x classes tables, in blocks of class rows.  None
-    when a factor is a bare oracle, or when the tables read more
-    distances than the family's pivot scan: for n clusters of ``points``
-    points, sum_f (sum_c |proj_f c| * |U_f| + n^2) > n * points, the
-    n^2 being the gathers that sum a factor's tables over all pairs.
-    The tables hold no more entries than that count."""
+    of the projections, and folded by class (``_run_rows``) into a
+    classes x U table of minima and one of maxima; gathering those at
+    each class's columns gives the classes x classes tables, in blocks
+    of class rows.  None when sum_f sum_c |proj_f c| * |U_f|, which
+    bounds the factor entries read, is over ``budget``; never for a
+    budget of None."""
     n = len(proj[0][1]) - 1
     unions = []
     for g, (coords, _) in zip(factors, proj):
         member = np.zeros(g.size, dtype=bool)
         member[coords] = True
         unions.append(member)
-    if not all(g.has_fast_rows() for g in factors) or sum(
-            len(coords) * int(member.sum()) + n * n
-            for (coords, _), member in zip(proj, unions)) > n * points:
+    if budget is not None and sum(
+            len(coords) * int(member.sum())
+            for (coords, _), member in zip(proj, unions)) > budget:
         return None
     tables = []
     for g, (coords, off), member in zip(factors, proj, unions):
@@ -300,31 +295,46 @@ def _hull_tables(factors: Sequence[FiniteMetricSpace],
             if k == len(firsts):
                 firsts.append(c)
             cls.append(k)
-        rows, starts = _segments(coords, off, np.array(firsts, dtype=np.intp))
+        rows, offsets = _segments(coords, off,
+                                  np.array(firsts, dtype=np.intp))
         union = np.flatnonzero(member)
         column = (np.cumsum(member) - 1)[rows]  # each row's column in U
         low = np.full((len(firsts), len(union)), np.iinfo(np.int64).max)
         high = np.full((len(firsts), len(union)), np.iinfo(np.int64).min)
         for start, block in g.row_blocks(rows, union):
-            # The classes whose rows meet this block, and where each
-            # one's rows start in it.
-            lo = np.searchsorted(starts, start, side="right") - 1
-            hi = np.searchsorted(starts, start + len(block))
-            cuts = np.maximum(starts[lo:hi] - start, 0)
-            np.minimum(low[lo:hi], np.minimum.reduceat(block, cuts),
-                       out=low[lo:hi])
-            np.maximum(high[lo:hi], np.maximum.reduceat(block, cuts),
-                       out=high[lo:hi])
+            lo, hi, at = _run_rows(offsets, start, start + len(block))
+            runs = block[at]
+            np.minimum(low[lo:hi], runs.min(axis=1), out=low[lo:hi])
+            np.maximum(high[lo:hi], runs.max(axis=1), out=high[lo:hi])
         least = np.empty((len(firsts), len(firsts)), dtype=np.int64)
         largest = np.empty_like(least)
         step = spaces._block_rows(len(rows))
         for r in range(0, len(firsts), step):
             least[r:r + step] = np.minimum.reduceat(
-                low[r:r + step, column], starts, axis=1)
+                low[r:r + step, column], offsets[:-1], axis=1)
             largest[r:r + step] = np.maximum.reduceat(
-                high[r:r + step, column], starts, axis=1)
+                high[r:r + step, column], offsets[:-1], axis=1)
         tables.append((np.array(cls, dtype=np.intp), least, largest))
     return tables
+
+
+def _run_rows(offsets: np.ndarray, start: int, stop: int
+              ) -> tuple[int, int, np.ndarray]:
+    """For rows start..stop-1 of a table of runs, run k being the rows
+    offsets[k] up to offsets[k + 1]: the runs lo..hi-1 that meet them,
+    and each one's rows there, counted from start, as a (hi - lo) x
+    width array.  A run shorter than the longest repeats its last row,
+    which changes no extreme, so one ``min`` or ``max`` over axis 1 of
+    the rows gathered at it folds every run.  ``reduceat`` along the
+    rows runs an inner loop per run and column: folding 625 runs of
+    three rows against 1,875 columns, in 235 blocks, took it 45 ms
+    against 15 ms this way."""
+    lo = int(offsets.searchsorted(start, side="right")) - 1
+    hi = int(offsets.searchsorted(stop))
+    first = np.maximum(offsets[lo:hi], start) - start
+    end = np.minimum(offsets[lo + 1:hi + 1], stop) - start
+    return lo, hi, np.minimum(first[:, None] + np.arange((end - first).max()),
+                              end[:, None] - 1)
 
 
 def _table_open(tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -351,20 +361,6 @@ def _table_open(tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     return pairs, np.flatnonzero(wide > control).tolist()
 
 
-def _unsettled(factors: Sequence[FiniteMetricSpace],
-               proj: Sequence[tuple[np.ndarray, np.ndarray]],
-               checks: Iterable[tuple[int, int]], limit: int, *,
-               largest: bool) -> Iterator[tuple[int, int]]:
-    """The checks (c1, c2) whose hull bound does not settle them: the
-    least distance bound at most ``limit``, or the largest over it."""
-    checks = iter(checks)
-    while batch := list(itertools.islice(checks, _HULL_BATCH)):
-        a, b = np.array(batch, dtype=np.intp).T
-        bound = _hull_bounds(factors, proj, a, b, largest=largest)
-        yield from itertools.compress(
-            batch, (bound > limit) if largest else (bound <= limit))
-
-
 def _projections(factors: Sequence[FiniteMetricSpace],
                  arrays: Sequence[np.ndarray]
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -384,61 +380,15 @@ def _projections(factors: Sequence[FiniteMetricSpace],
     return proj
 
 
-def _hull_bounds(factors: Sequence[FiniteMetricSpace],
-                 proj: Sequence[tuple[np.ndarray, np.ndarray]],
-                 a: np.ndarray, b: np.ndarray, *, largest: bool) -> np.ndarray:
-    """For each check k, the sum over the factors of the least (or
-    largest) factor distance from cluster a[k]'s projection to cluster
-    b[k]'s: at most the least distance from a[k] to b[k] (at least the
-    largest), and equal to it when both clusters are products."""
-    extreme = np.maximum if largest else np.minimum
-    bound = np.zeros(len(a), dtype=np.int64)
-    for g, (coords, off) in zip(factors, proj):
-        # A bare oracle makes a call per distance: there each check is
-        # read on its own, so that no pair beyond its own is read.
-        budget = spaces._SCAN_ELEMS if g.has_fast_rows() else 0
-        for lo, hi in _read_groups(off[a + 1] - off[a], off[b + 1] - off[b],
-                                   budget):
-            rows, row_starts = _segments(coords, off, a[lo:hi])
-            cols, col_starts = _segments(coords, off, b[lo:hi])
-            owner = np.repeat(np.arange(hi - lo),
-                              np.diff(row_starts, append=len(rows)))
-            # Each row's extreme over its own check's columns.
-            line = np.empty(len(rows), dtype=np.int64)
-            for start, block in g.row_blocks(rows, cols):
-                stop = start + len(block)
-                line[start:stop] = extreme.reduceat(
-                    block, col_starts, axis=1)[np.arange(len(block)),
-                                               owner[start:stop]]
-            bound[lo:hi] += extreme.reduceat(line, row_starts)
-    return bound
-
-
-def _read_groups(rows: np.ndarray, cols: np.ndarray,
-                 budget: int) -> Iterator[tuple[int, int]]:
-    """Runs [lo, hi) of consecutive checks, with rows[k] x cols[k]
-    factor distances each, whose rows laid end to end against their
-    columns laid end to end make at most ``budget`` distances, or of
-    one check.  One ``row_blocks`` scan reads a run, so with a budget
-    of one block the pairs it reads beyond the checks' own fit in a
-    block."""
-    lo = height = width = 0
-    for k, (h, w) in enumerate(zip(rows.tolist(), cols.tolist())):
-        height, width = height + h, width + w
-        if height * width > budget and k > lo:
-            yield lo, k
-            lo, height, width = k, h, w
-    yield lo, len(rows)
-
-
 def _segments(coords: np.ndarray, off: np.ndarray,
               ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """coords[off[i]:off[i + 1]] for each i in ids, laid end to end,
-    and where each starts."""
+    and their offsets there, one more than ids."""
     count = off[ids + 1] - off[ids]
-    starts = np.cumsum(count) - count
-    return (coords[np.arange(starts[-1] + count[-1])
-                   + np.repeat(off[ids] - starts, count)], starts)
+    offsets = np.zeros(len(ids) + 1, dtype=np.intp)
+    np.cumsum(count, out=offsets[1:])
+    return (coords[np.arange(offsets[-1])
+                   + np.repeat(off[ids] - offsets[:-1], count)], offsets)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -526,11 +476,12 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover) -> ValidationRe
     MAX_VIOLATIONS of them, coverage first, then separation, then
     diameters).  Cluster pairs and diameters that a bound settles skip
     the exhaustive scan: the product hull on an l1 sum, from per-factor
-    tables when they read no more than the pivot scan and per check
-    otherwise, and the family's pivot scan when
+    tables unless, on a guaranteed metric, they would read more factor
+    entries than the pivot scan, and the family's pivot scan when
     ``space.metric_guaranteed`` (see the module docstring).  Every bound
-    is sound and the scan alone produces violations, so the report does
-    not depend on which bounds ran.
+    is sound, so it settles only checks that hold, and the scan alone
+    produces violations, each at the first extreme pair in point order:
+    the report does not depend on which bounds ran.
     """
     families = [_cluster_arrays(fam, space.size) for fam in cover.families]
     found = _violations(space, families, cover.scale.lam, cover.scale.control)

@@ -473,28 +473,96 @@ def test_pivot_bounds_equal_a_row_by_row_reference(elems, monkeypatch):
                                                                     wide)
 
 
-@pytest.mark.parametrize("spec, lam, control, binds_per_family", [
-    ("group(3,3)", 9, 18, 0),
-    ("group(3,4)", 139, 278, 0),
-    ("sum(circle(2500,1),interval(1,3))", 1, 2, 1),
+@pytest.mark.parametrize("spec, lam, control", [
+    ("group(3,3)", 9, 18),
+    ("group(3,4)", 139, 278),
+    ("sum(circle(2500,1),interval(1,3))", 1, 2),
 ])
-def test_sum_covers_need_no_exhaustive_scan(spec, lam, control,
-                                            binds_per_family, monkeypatch):
-    """No check of these sums' certificates reaches the exhaustive scan.
-    The product clusters of the two groups are settled by their hull
-    tables, which read only the factors, so the sum binds no reader.
-    The 5000-point sum's tables would read more than its pivot scan, so
-    each family binds one reader, for that scan, and the hull bound
-    settles what the pivots leave open: neighbouring clusters exactly
-    lam + 1 apart, and small clusters whose pivot rows overestimate
-    them."""
+def test_sum_covers_need_no_exhaustive_scan(spec, lam, control, monkeypatch):
+    """No check of these sums' certificates reaches the exhaustive scan,
+    and none binds a reader of the sum: every family takes its hull
+    tables, which read only the factors.  They settle the product
+    clusters of the two groups, and on the 5000-point sum's families
+    they leave open nothing, not even neighbouring clusters exactly
+    lam + 1 apart."""
     space = build_space(parse_spec(spec))
     cover = dim_at_scale(space, lam, control).certificate
     binds = _count_binds(monkeypatch, space)
     extremes = _count_extremes(monkeypatch)
     assert validate_cover(space, cover).ok
-    assert extremes == []
-    assert len(binds) == binds_per_family * len(cover.families)
+    assert extremes == [] and binds == []
+
+
+def test_a_family_refused_the_tables_takes_the_pivot_scan(monkeypatch):
+    """The one family of this certificate is two 3,000-point clusters,
+    whose tables would read more factor entries than its pivot scan, so
+    they are refused: before the first exhaustive scan the sum binds one
+    reader, for the pivot scan of the whole family.  The report equals
+    the plain scan's on the certificate and on a corrupted copy."""
+    spec = "sum(circle(3000,1),interval(1,3))"
+    space = build_space(parse_spec(spec))
+    cover = dim_at_scale(space, 1, 3000).certificate
+    assert [len(cl) for fam in cover.families for cl in fam] == [3000, 3000]
+    bad = _move_one_point(cover, random.Random(spec))
+    for cv in [cover, bad]:
+        expected = _reference_report(space, cv)
+        binds = _count_binds(monkeypatch, space)
+        tables, hull_tables = [], covers._hull_tables
+        monkeypatch.setattr(covers, "_hull_tables", lambda *args: (
+            tables.append(hull_tables(*args)) or tables[-1]))
+        before_scans, scan = [], covers._first_extreme
+        monkeypatch.setattr(covers, "_first_extreme", lambda *args, **kwargs: (
+            before_scans.append(len(binds)) or scan(*args, **kwargs)))
+        assert validate_cover(space, cv) == expected
+        assert tables == [None] and before_scans and before_scans[0] == 1
+        assert sorted(binds[0].tolist()) == list(range(space.size))
+        monkeypatch.undo()
+    assert not expected.ok
+
+
+@pytest.mark.parametrize("branch", ["tables", "pivots"])
+@pytest.mark.parametrize("spec, lam, control", [
+    ("group(3,3)", 9, 18),
+    ("scale(group(3,3),2)", 18, 36),
+    ("sum(circle(9,2),circle(27,10),circle(9,140))", 139, 278),
+    ("sum(interval(29,1),interval(29,1))", 1, 2),
+])
+def test_reports_do_not_depend_on_the_budget(spec, lam, control, branch,
+                                             monkeypatch):
+    """Each family goes to its tables whatever they read (a budget of
+    None), or to the pivot scan alone (the tables refused), and either
+    way the report equals the plain scan's, on the certificate and on
+    its corrupted copies."""
+    space = build_space(parse_spec(spec))
+    cover = dim_at_scale(space, lam, control).certificate
+    cases = [cover] + _corruptions(cover, spec)
+    expected = [_reference_report(space, cv) for cv in cases]
+    assert expected[0].ok and sum(not r.ok for r in expected) >= 3
+    tables, hull_tables = [], covers._hull_tables
+    monkeypatch.setattr(covers, "_hull_tables", lambda factors, proj, budget: (
+        tables.append(hull_tables(factors, proj, None)
+                      if branch == "tables" else None) or tables[-1]))
+    assert [validate_cover(space, cv) for cv in cases] == expected
+    assert tables and all((t is None) == (branch == "pivots") for t in tables)
+
+
+def test_segments_lay_the_named_slices_end_to_end():
+    """``_segments`` lays coords[off[i]:off[i + 1]] for each i in ids end
+    to end, in the order of ids and with repeats, and gives their
+    offsets there, one more than ids."""
+    rng = random.Random(5)
+    for _ in range(200):
+        lengths = [rng.randint(1, 4) for _ in range(rng.randint(1, 8))]
+        off = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+        coords = np.array([rng.randrange(50) for _ in range(off[-1])],
+                          dtype=np.intp)
+        ids = np.array([rng.randrange(len(lengths))
+                        for _ in range(rng.randint(1, 6))], dtype=np.intp)
+        laid, offsets = covers._segments(coords, off, ids)
+        pieces = [coords[off[i]:off[i + 1]].tolist() for i in ids.tolist()]
+        assert laid.tolist() == [x for piece in pieces for x in piece]
+        assert offsets.tolist() == np.cumsum(
+            [0] + [len(piece) for piece in pieces]).tolist()
 
 
 def test_pivots_read_only_the_clusters_the_tables_leave_open(monkeypatch):
@@ -524,12 +592,11 @@ def test_pivots_read_only_the_clusters_the_tables_leave_open(monkeypatch):
     assert sorted(binds[0].tolist()) == sorted(first[0] | first[1])
 
 
-def test_a_bare_oracle_factor_keeps_the_per_check_hull(monkeypatch):
-    """Tables need fast factor rows: the same cover of a line times a
-    circle is settled by the tables, with no per-check hull bound, when
-    the line is a matrix, and by the per-check hull bound when it is a
-    bare oracle, whose every distance is a call.  Neither binds a
-    reader of the sum or runs a scan."""
+def test_a_bare_oracle_factor_takes_the_tables(monkeypatch):
+    """The same cover of a line times a circle is settled by the hull
+    tables whether the line is a matrix or a bare oracle, whose every
+    distance is a call: neither binds a reader of the sum or runs a
+    scan."""
     monkeypatch.setattr(spaces, "MATRIX_CACHE_LIMIT", 10)
     bare = FiniteMetricSpace(30, lambda i, j: abs(i - j), basepoint=0)
     for line in [interval(29, 1), bare]:
@@ -541,12 +608,12 @@ def test_a_bare_oracle_factor_keeps_the_per_check_hull(monkeypatch):
              for x in range(parity, 30, 2)] for parity in (0, 1)])
         binds = _count_binds(monkeypatch, space)
         extremes = _count_extremes(monkeypatch)
-        hulls, hull_bounds = [], covers._hull_bounds
-        monkeypatch.setattr(covers, "_hull_bounds", lambda *args, **kwargs: (
-            hulls.append(args) or hull_bounds(*args, **kwargs)))
+        tables, hull_tables = [], covers._hull_tables
+        monkeypatch.setattr(covers, "_hull_tables", lambda *args: (
+            tables.append(hull_tables(*args)) or tables[-1]))
         assert validate_cover(space, cover).ok
         assert extremes == [] and binds == []
-        assert bool(hulls) == (not line.has_fast_rows())
+        assert len(tables) == 2 and None not in tables
         monkeypatch.undo()
         monkeypatch.setattr(spaces, "MATRIX_CACHE_LIMIT", 10)
 
@@ -586,104 +653,86 @@ def _hull_sets(space):
 
 @pytest.mark.parametrize("name", list(_HULL_SPACES))
 @pytest.mark.parametrize("elems", [spaces._SCAN_ELEMS, 40, 1])
-def test_hull_bounds_against_the_oracle(name, elems, monkeypatch):
-    """Over every pair of some products of factor sets and some random
-    sets, the hull bounds bracket the least and the largest distance
-    read from the scalar oracle, and meet them on two products: with
-    the checks read in long runs, in runs of a few checks and blocks of
-    a few rows, and each on its own, a row a block."""
+def test_hull_tables_against_the_oracle(name, elems, monkeypatch):
+    """Over every ordered pair of some products of factor sets and some
+    random sets, the tables summed over the factors, the first set's
+    projections as rows, bracket the least and the largest distance
+    read from the scalar oracle, and meet them on two products: in long
+    blocks, in blocks of a few rows, and a row a block.  ``_table_open``
+    keeps exactly the pairs c1 < c2 whose least bound is at most lam
+    and the sets whose largest is over the control."""
     monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
     space = _HULL_SPACES[name]()
     kind, factors = space.structure
     assert kind == "sum"
     arrays, products = _hull_sets(space)
-    a, b = np.array([(i, j) for i in range(len(arrays))
-                     for j in range(len(arrays))]).T
-    proj = covers._projections(factors, arrays)
-    low = covers._hull_bounds(factors, proj, a, b, largest=False)
-    high = covers._hull_bounds(factors, proj, a, b, largest=True)
-    for k, (i, j) in enumerate(zip(a, b)):
-        d = [space.dist(p, q) for p in arrays[i] for q in arrays[j]]
-        assert low[k] <= min(d) and high[k] >= max(d)
-        if products[i] and products[j]:
-            assert (low[k], high[k]) == (min(d), max(d))
-
-
-@pytest.mark.parametrize("name", ["group", "scaled", "nested"])
-@pytest.mark.parametrize("elems", [spaces._SCAN_ELEMS, 40, 1])
-def test_hull_tables_equal_the_hull_bounds(name, elems, monkeypatch):
-    """Summed over the factors, the tables give every ordered pair of
-    the sets of the test above ``_hull_bounds``' least and largest
-    bound, the first set's projections as rows, in every block size;
-    ``_table_open`` keeps exactly the pairs c1 < c2 whose least bound
-    is at most lam and the sets whose largest is over the control."""
-    monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
-    space = _HULL_SPACES[name]()
-    factors = space.structure[1]
-    arrays, _ = _hull_sets(space)
     n = len(arrays)
-    proj = covers._projections(factors, arrays)
-    tables = covers._hull_tables(factors, proj, 10**9)
+    tables = covers._hull_tables(
+        factors, covers._projections(factors, arrays), None)
     assert len(tables) == len(factors)
-    a, b = np.indices((n, n)).reshape(2, -1)
-    for which, largest in [(1, False), (2, True)]:
-        summed = sum(t[which][t[0][a], t[0][b]] for t in tables)
-        assert summed.tolist() == covers._hull_bounds(
-            factors, proj, a, b, largest=largest).tolist()
     low = sum(least[np.ix_(cls, cls)] for cls, least, _ in tables)
-    high = sum(largest[cls, cls] for cls, _, largest in tables)
-    for lam, control in [(0, 0), (int(np.median(low)), int(np.median(high)))]:
+    high = sum(largest[np.ix_(cls, cls)] for cls, _, largest in tables)
+    for i in range(n):
+        for j in range(n):
+            d = [space.dist(p, q) for p in arrays[i] for q in arrays[j]]
+            assert low[i, j] <= min(d) and high[i, j] >= max(d)
+            if products[i] and products[j]:
+                assert (low[i, j], high[i, j]) == (min(d), max(d))
+    wide_bound = high.diagonal()
+    for lam, control in [(0, 0), (int(np.median(low)),
+                                  int(np.median(wide_bound)))]:
         pairs, wide = covers._table_open(tables, n, lam, control)
         assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)
                          if low[i, j] <= lam]
-        assert wide == [c for c in range(n) if high[c] > control]
+        assert wide == [c for c in range(n) if wide_bound[c] > control]
 
 
-def test_hull_tables_need_fast_rows_and_few_reads(monkeypatch):
-    """No tables for a factor served by a bare oracle, nor when they
-    read more than the pivot scan: with n clusters of N points, when
-    sum_f (sum_c |proj_f c| * |U_f| + n^2) > n * N."""
+def test_run_rows_name_each_runs_rows_in_a_block():
+    """For any rows start..stop-1 of a table of runs, ``_run_rows`` names
+    exactly the runs that meet them, and each one's row of the index
+    holds its rows there and no other, its last one repeated."""
+    rng = random.Random(3)
+    for _ in range(300):
+        lengths = [rng.choice([1, 1, 2, 3, 9])
+                   for _ in range(rng.randint(1, 12))]
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+        start = rng.randrange(offsets[-1])
+        stop = rng.randint(start + 1, offsets[-1])
+        lo, hi, at = covers._run_rows(offsets, start, stop)
+        meet = [k for k in range(len(lengths))
+                if offsets[k] < stop and offsets[k + 1] > start]
+        assert list(range(lo, hi)) == meet
+        for k, row in zip(meet, at.tolist()):
+            inside = [p - start for p in range(max(offsets[k], start),
+                                               min(offsets[k + 1], stop))]
+            assert row == inside + [inside[-1]] * (len(row) - len(inside))
+
+
+def test_hull_tables_are_taken_within_the_budget(monkeypatch):
+    """The tables are refused when sum_f sum_c |proj_f c| * |U_f| is
+    over the budget, taken at it, and always taken for a budget of None,
+    also on a factor served by a bare oracle."""
     monkeypatch.setattr(spaces, "MATRIX_CACHE_LIMIT", 2)
-    space = _oracle_sum()
-    assert not space.structure[1][0].has_fast_rows()
-    arrays, _ = _hull_sets(space)
-    proj = covers._projections(space.structure[1], arrays)
-    assert covers._hull_tables(space.structure[1], proj, 10**6) is None
-    space = _HULL_SPACES["group"]()
-    factors = space.structure[1]
-    arrays, _ = _hull_sets(space)
-    for n in (1, len(arrays)):  # n * points meets the count exactly at 1
-        proj = covers._projections(factors, arrays[:n])
-        reads = sum(len(coords) * len(np.unique(coords)) + n * n
-                    for coords, _ in proj)
-        points = -(-reads // n)  # the fewest with n * points >= reads
-        assert covers._hull_tables(factors, proj, points) is not None
-        assert covers._hull_tables(factors, proj, points - 1) is None
+    oracles = _oracle_sum()
+    assert not oracles.structure[1][0].has_fast_rows()
+    for space in [_HULL_SPACES["group"](), oracles]:
+        factors = space.structure[1]
+        arrays, _ = _hull_sets(space)
+        for n in (1, len(arrays)):
+            proj = covers._projections(factors, arrays[:n])
+            reads = sum(len(coords) * len(np.unique(coords))
+                        for coords, _ in proj)
+            assert covers._hull_tables(factors, proj, reads) is not None
+            assert covers._hull_tables(factors, proj, reads - 1) is None
+            assert covers._hull_tables(factors, proj, None) is not None
 
 
-def test_read_groups_fill_a_block():
-    """Each run of checks the hull reads at once makes at most the
-    budget of distances, or is one check, and takes the next check
-    whenever the budget allows."""
-    rng = random.Random(5)
-    rows = np.array([rng.choice([1, 2, 7, 40]) for _ in range(200)])
-    cols = np.array([rng.choice([1, 3, 9, 50]) for _ in range(200)])
-    for budget in [0, 1, 60, 2000]:
-        runs = list(covers._read_groups(rows, cols, budget))
-        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
-        assert runs[-1][1] == len(rows)
-        for lo, hi in runs:
-            assert (hi - lo == 1
-                    or rows[lo:hi].sum() * cols[lo:hi].sum() <= budget)
-            if hi < len(rows):
-                assert rows[lo:hi + 1].sum() * cols[lo:hi + 1].sum() > budget
-
-
-def test_hull_reads_only_its_checks_pairs_from_a_bare_oracle():
+def test_hull_tables_read_a_bare_oracle_once_per_class_point():
     """A factor above the matrix limit served by a bare oracle makes a
-    call per distance, so the hull reads each check there on its own:
-    one call per pair of the check's two projections, none across
-    checks."""
+    call per distance.  The tables call it once for each point of each
+    class's projection and each point of U, the union of the
+    projections, and never twice for one pair: clusters sharing a
+    projection share its reads."""
     calls = []
 
     def oracle(i, j):
@@ -694,23 +743,24 @@ def test_hull_reads_only_its_checks_pairs_from_a_bare_oracle():
     line = FiniteMetricSpace(size, oracle, basepoint=0,
                              diameter_hint=size - 1)
     space = l1_sum([line, cyclic_group(3, 1)])
-    assert not space.structure[1][0].has_fast_rows()
-    calls.clear()
-    rng = random.Random(0)
-    arrays = [np.array(sorted(rng.sample(range(space.size), 6)),
-                       dtype=np.intp) for _ in range(8)]
     factors = space.structure[1]
-    proj = covers._projections(factors, arrays)
-    coords, off = proj[0]
-    a, b = np.arange(0, 8, 2), np.arange(1, 8, 2)
-    low = covers._hull_bounds(factors, proj, a, b, largest=False)
-    expected = [(int(p), int(q)) for i, j in zip(a, b)
-                for p in coords[off[i]:off[i + 1]]
-                for q in coords[off[j]:off[j + 1]]]
+    assert not factors[0].has_fast_rows()
+    rng = random.Random(0)
+    # Four disjoint line sets, each the projection of two clusters.
+    picks = rng.sample(range(size), 12)
+    classes = [sorted(picks[k:k + 3]) for k in range(0, 12, 3)]
+    arrays = [np.array(sorted(spaces.l1_blocks(factors, [[ls], [[c]]])[0]),
+                       dtype=np.intp) for ls in classes for c in (0, 2)]
+    calls.clear()
+    tables = covers._hull_tables(
+        factors, covers._projections(factors, arrays), None)
+    expected = [(p, q) for ls in classes for p in ls for q in sorted(picks)]
     assert sorted(calls) == sorted(expected)
-    for k, (i, j) in enumerate(zip(a, b)):
-        assert low[k] <= min(space.dist(int(p), int(q))
-                             for p in arrays[i] for q in arrays[j])
+    assert len(set(calls)) == len(calls)
+    cls, least, _ = tables[0]
+    for i, j in [(0, 2), (2, 7), (5, 1)]:
+        assert least[cls[i], cls[j]] == min(abs(p - q) for p in classes[i // 2]
+                                            for q in classes[j // 2])
 
 
 @pytest.mark.parametrize("elems", [1, 2, spaces._SCAN_ELEMS])
