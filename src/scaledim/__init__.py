@@ -2,9 +2,8 @@
 
 from .construction import (ConditionLevel, ConditionsReport, Profile,
                            ProfileSample, SmallCircleWarning, WeightSchedule,
-                           check_conditions, dim_zero_witness,
-                           group_truncation, l1_axis_subsets,
-                           l1_prefix_indices, profile, profile_csv,
+                           check_conditions, group_truncation,
+                           l1_axis_subsets, profile, profile_csv,
                            schedule_csv, truncation_factors,
                            wedge_arm_subsets, wedge_truncation,
                            weight_schedule)

@@ -23,8 +23,8 @@ import sys
 import warnings
 from typing import Optional, Sequence
 
-from .construction import (DEFAULT_SEARCH_SIZE_CAP, SmallCircleWarning,
-                           profile, profile_csv, schedule_csv, weight_schedule)
+from .construction import (SmallCircleWarning, profile, profile_csv,
+                           schedule_csv, weight_schedule)
 from .covers import Certificate, read_certificate, validate_cover, write_certificate
 from .solver import _BRUTE_LIMIT, DEFAULT_NODE_BUDGET, dim_at_scale, oracle_check
 from .spaces import MetricError, check_metric
@@ -79,9 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--from-schedule", action="store_true",
                        help="scales a_n and a_n - 1 from the spec's own "
                             "schedule (group/wedgegroup specs only)")
-    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_SIZE_CAP,
-                   help="size beyond which only certified bounds are "
-                        f"computed (default {DEFAULT_SEARCH_SIZE_CAP})")
     p.add_argument("--csv", default=None, help="also write the table here")
     p.add_argument("--plot", default=None, help="write an SVG step plot here")
     add_budget(p)
@@ -200,7 +197,6 @@ def _schedule_lambdas(space) -> list[int]:
 
 def _cmd_profile(args) -> int:
     _check_range("--c", args.c, args.c >= 1, "positive")
-    _check_range("--cap", args.cap, args.cap >= 0, "nonnegative")
     spec = parse_spec(args.spec)
     if args.lambda_list is not None:
         lams = _lambda_list(args.lambda_list)
@@ -210,8 +206,7 @@ def _cmd_profile(args) -> int:
     space = build_space(spec)
     if args.lambda_list is None:
         lams = _schedule_lambdas(space)
-    prof = profile(space, args.c, lams, search_size_cap=args.cap,
-                   node_budget=_node_budget(args))
+    prof = profile(space, args.c, lams, node_budget=_node_budget(args))
     text = profile_csv(prof)
     sys.stdout.write(text)
     if args.csv:

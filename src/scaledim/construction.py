@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .covers import ScaledCover, validate_cover
 from .solver import DEFAULT_NODE_BUDGET, dim_at_scale, lambda_components
 from .spaces import (DEFAULT_PRODUCT_CAP, FiniteMetricSpace, cyclic_group,
                      interval, l1_blocks, l1_sum, wedge, wedge_points)
@@ -83,11 +82,15 @@ def weight_schedule(p: int, levels: int, mode: str = "group") -> WeightSchedule:
     if not isinstance(levels, int) or levels < 1:
         raise ValueError(f"levels must be a positive integer, got {levels!r}")
     weights: list[int] = []
-    eccs: list[int] = []
+    # The prior assembly's diameter, kept as it grows: the sum of all
+    # eccentricities in group mode, the two largest in the wedge modes.
+    total = first = second = 0
     for n in range(1, levels + 1):
-        a_n = 1 + (sum(eccs) if mode == "group" else sum(sorted(eccs)[-2:]))
+        a_n = 1 + (total if mode == "group" else first + second)
         weights.append(a_n)
-        eccs.append(_piece_eccentricity(p, n, a_n, mode))
+        ecc = _piece_eccentricity(p, n, a_n, mode)
+        total += ecc
+        second, first = sorted((first, second, ecc))[1:]
         if mode != "interval-wedge" and p**n < 2 * (n + 1):
             warnings.warn(
                 f"level {n}: the circle has {p**n} points, so its diameter "
@@ -153,15 +156,6 @@ def wedge_arm_subsets(factors: Sequence[FiniteMetricSpace]) -> list[list[int]]:
     isometric to its factor."""
     return [wedge_points(factors, f, range(g.size))
             for f, g in enumerate(factors)]
-
-
-def l1_prefix_indices(factors: Sequence[FiniteMetricSpace], n: int) -> list[int]:
-    """Indices of the sub-sum of the first n factors inside the full l1
-    sum (later coordinates at their basepoints).  Contiguous whatever the
-    basepoints, because the first n factors are the low digits of the
-    index."""
-    return l1_blocks(factors, [[range(g.size)] if i < n else [[g.basepoint]]
-                               for i, g in enumerate(factors)])[0]
 
 
 # -- the structural conditions ------------------------------------------------
@@ -255,9 +249,7 @@ def _prefix_diameter(schedule: WeightSchedule,
     return wedge(prior).diameter()
 
 
-def check_conditions(schedule: WeightSchedule,
-                     factors: Optional[Sequence[FiniteMetricSpace]] = None
-                     ) -> ConditionsReport:
+def check_conditions(schedule: WeightSchedule) -> ConditionsReport:
     """Verify the structural conditions of a schedule by computation.
 
     The rise checks scan the a_n-components of each piece once: one
@@ -265,10 +257,7 @@ def check_conditions(schedule: WeightSchedule,
     wider than c*a_n, so the widest component decides every c.  The
     report reflects the spaces as built, not the intended design.
     """
-    if factors is None:
-        factors = truncation_factors(schedule)
-    if len(factors) != schedule.levels:
-        raise ValueError(f"expected {schedule.levels} factors, got {len(factors)}")
+    factors = truncation_factors(schedule)
     levels = []
     for n in range(1, schedule.levels + 1):
         a_n = schedule.weight(n)
@@ -291,30 +280,6 @@ def check_conditions(schedule: WeightSchedule,
         levels.append(ConditionLevel(n, a_n, discrete_ok, tuple(rises),
                                      prefix_ok, sep_ok, prereq, notes))
     return ConditionsReport(schedule, tuple(levels))
-
-
-def dim_zero_witness(space: FiniteMetricSpace, prefix: Sequence[int],
-                     lam: int, control: int) -> ScaledCover:
-    """Exhibit dimension zero at (lam, control) with a designated prefix.
-
-    Builds the single-family cover whose clusters are the given prefix
-    set plus the lam-components of its complement, validates it, and
-    returns it; an invalid cover raises ValueError with the violation.
-    The complement scan enumerates points directly, so keep this to
-    spaces of moderate size.
-    """
-    prefix_set = sorted(set(int(p) for p in prefix))
-    inside = set(prefix_set)
-    complement = [q for q in range(space.size) if q not in inside]
-    clusters: list[Sequence[int]] = [prefix_set] if prefix_set else []
-    if complement:
-        clusters.extend(lambda_components(space, lam, complement).blocks)
-    cover = ScaledCover.of(lam, control, [clusters])
-    report = validate_cover(space, cover)
-    if not report.ok:
-        raise ValueError(f"no single-family cover with this prefix: "
-                         f"{report.describe()}")
-    return cover
 
 
 # -- dimension profiles -------------------------------------------------------
@@ -346,28 +311,25 @@ class Profile:
 
 
 def profile(space: FiniteMetricSpace, c: int, lambdas: Sequence[int], *,
-            search_size_cap: int = DEFAULT_SEARCH_SIZE_CAP,
             node_budget: int = DEFAULT_NODE_BUDGET) -> Profile:
     """Measure the dimension of a space at control c*lam over a list of
     separation scales.
 
-    Spaces within the size cap get the exact search.  Larger spaces get
-    certified bounds instead.  The factors of a sum or wedge (each
-    isometric to an axis or arm, so a subspace) that fit the cap are
-    searched exactly; a positive value among them is a lower bound, since
-    dimension is monotone under taking subspaces.  Otherwise a
-    whole-space component scan certifies zeroes and a single two-family
-    search follows.
+    Spaces of at most DEFAULT_SEARCH_SIZE_CAP points get the exact
+    search.  Larger spaces get certified bounds instead.  The factors of
+    a sum or wedge (each isometric to an axis or arm, so a subspace) that
+    fit the cap are searched exactly; a positive value among them is a
+    lower bound, since dimension is monotone under taking subspaces.
+    Otherwise a whole-space component scan certifies zeroes and a single
+    two-family search follows.
     """
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"c must be a positive integer, got {c!r}")
-    if search_size_cap < 0:
-        raise ValueError(f"search_size_cap must be nonnegative, "
-                         f"got {search_size_cap}")
-    over = space.size > search_size_cap
+    over = space.size > DEFAULT_SEARCH_SIZE_CAP
     probes = []
     if over and space.structure is not None:
-        probes = [f for f in space.structure[1] if f.size <= search_size_cap]
+        probes = [f for f in space.structure[1]
+                  if f.size <= DEFAULT_SEARCH_SIZE_CAP]
     samples = []
     for lam in lambdas:
         control = c * lam

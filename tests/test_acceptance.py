@@ -13,12 +13,12 @@ import warnings
 from scaledim import (INFEASIBLE, ScaledCover, SmallCircleWarning,
                       WeightSchedule, check_conditions, cyclic_group,
                       dim_at_scale, dim_at_scale_bruteforce, dim_le,
-                      dim_zero_witness, interval, l1_axis_subsets,
-                      l1_prefix_indices, l1_sum, lift_product_cover,
-                      oracle_check, profile, random_metric_space, relabel,
-                      scale, shrink_to_partition, subspace,
-                      truncation_factors, validate_cover, wedge_arm_subsets,
-                      wedge_truncation, weight_schedule)
+                      interval, l1_axis_subsets, l1_blocks, l1_sum,
+                      lift_product_cover, oracle_check, profile,
+                      random_metric_space, relabel, scale,
+                      shrink_to_partition, subspace, truncation_factors,
+                      validate_cover, wedge_arm_subsets, wedge_truncation,
+                      weight_schedule)
 
 # (space, cover, origin) triples recorded by the other criteria and
 # audited by criterion 7.
@@ -150,11 +150,16 @@ def test_criterion_03_dips_to_zero():
         # the same zero via the no-search component path
         fast = dim_le(g3, lam, control, 0)
         assert fast.status == "feasible" and fast.nodes == 0
-        # and via an explicit witness built around the level prefix
-        prefix = l1_prefix_indices(factors3, n - 1)
-        witness = dim_zero_witness(g3, prefix, lam, control)
-        record_certificate(g3, witness, f"dip witness n={n} on g3")
-        details.append(f"lam={lam}: 0 by search, scan, and witness")
+        # and the cover is the one built around the level prefix: the
+        # sub-sum of the first n-1 circles is one of its clusters
+        prefix = l1_blocks(factors3, [[range(g.size)] if i < n - 1
+                                      else [[g.basepoint]]
+                                      for i, g in enumerate(factors3)])[0]
+        assert len(got.certificate.families) == 1
+        assert frozenset(prefix) in got.certificate.families[0], n
+        assert validate_cover(g3, got.certificate).ok
+        details.append(f"lam={lam}: 0 by search and scan, with the "
+                       f"prefix as a cluster")
 
     # stretch: the 59049-point level-4 sum, matrix-free
     g4, _ = group_space(4)

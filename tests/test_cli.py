@@ -196,8 +196,8 @@ def test_dim_max_n_stop_is_a_proven_lower_bound(capsys, tmp_path):
     (["oracle-check", "--cases", "-3"], "--cases must be positive, got -3"),
     (["oracle-check", "--size-max", "1"],
      "--size-max must be between 2 and 10, got 1"),
-    (["profile", "circle(9,1)", "--c", "2", "--lambda-list", "1",
-      "--cap", "-5"], "--cap must be nonnegative, got -5"),
+    (["oracle-check", "--size-max", "11"],
+     "--size-max must be between 2 and 10, got 11"),
     (["dim", "circle(9,1)", "--lambda", "-1", "--control", "2"],
      "--lambda must be nonnegative, got -1"),
     (["dim", "circle(9,1)", "--lambda", "1", "--control", "-2"],
@@ -409,3 +409,116 @@ def test_missing_certificate_file(capsys):
 def test_usage_error_is_argparse_exit():
     with pytest.raises(SystemExit):
         main(["dim", "circle(3,1)"])  # missing required --lambda/--control
+
+
+def test_profile_has_no_cap_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "group(3,3)", "--c", "2", "--from-schedule",
+              "--cap", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
+
+
+# -- the exit-code contract under generated input ---------------------------
+
+def _exit_code(argv):
+    # An argparse usage error exits 2 through SystemExit; anything else
+    # that escapes main breaks the contract.
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_generated_specs_exit_0_2_or_3(capsys, tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Mostly in range, so that many specs build and reach the search.
+    ints = st.sampled_from(("3", "4", "5", "3", "4", "3", "1", "2", "0", "-1"))
+    leaves = st.builds(
+        lambda name, a, b: (f"{name}({a},{b})" if name != "matrix"
+                            else 'matrix("nofile")'),
+        st.sampled_from(("interval", "circle", "group", "wedgegroup") * 2
+                        + ("matrix",)), ints, ints)
+
+    def terms(depth):
+        # Well-formed calls nested at most ``depth`` deep, with small
+        # integers that may be out of range.
+        if depth == 1:
+            return leaves
+        inner = terms(depth - 1)
+        return st.one_of(
+            leaves,
+            st.builds(lambda name, args: f"{name}({','.join(args)})",
+                      st.sampled_from(("wedge", "sum")),
+                      st.lists(inner, min_size=1, max_size=3)),
+            st.builds("scale({},{})".format, inner, ints),
+            st.builds(lambda e, idx: f"sub({e},[{','.join(idx)}])",
+                      inner, st.lists(ints, max_size=4)))
+
+    @st.composite
+    def specs(draw):
+        # A call, then up to two stray characters anywhere in it.
+        text = draw(terms(3))
+        for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(st.sampled_from('(),[]"x9 \n')) + text[i:]
+        return text
+
+    cert = str(tmp_path / "c.txt")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(spec=specs(), lam=st.integers(-1, 5),
+                      control=st.integers(-1, 10))
+    def check(spec, lam, control):
+        assert _exit_code(["build", spec]) in (0, 2)
+        code = _exit_code(["dim", spec, "--lambda", str(lam), "--control",
+                           str(control), "--budget", "1000",
+                           "--certificate", cert])
+        assert code in (0, 2, 3)
+        capsys.readouterr()
+
+    check()
+
+
+def test_mutated_certificates_exit_0_or_2(capsys, tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    spec = "sum(circle(5,1),interval(2,1))"
+    good = tmp_path / "good.txt"
+    assert main(["dim", spec, "--lambda", "1", "--control", "2",
+                 "--certificate", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    bad = str(tmp_path / "bad.txt")
+    tokens = st.sampled_from(["0", "-1", "14", "15", "2", "x", "1.5", "",
+                              "cluster", "family", "families:", "10" * 12])
+
+    @st.composite
+    def mutated(draw):
+        out = list(lines)
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(out)))
+            op = draw(st.sampled_from(("drop", "copy", "swap", "token")))
+            if i == len(out) or op == "copy":
+                out.insert(i, draw(st.sampled_from(lines)))
+            elif op == "drop":
+                del out[i]
+            elif op == "swap":
+                j = draw(st.integers(0, len(out) - 1))
+                out[i], out[j] = out[j], out[i]
+            else:
+                words = out[i].split(" ")
+                k = draw(st.integers(0, len(words) - 1))
+                words[k] = draw(tokens)
+                out[i] = " ".join(words)
+        return "\n".join(out) + "\n"
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(text=mutated())
+    def check(text):
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert _exit_code(["verify", bad, spec]) in (0, 2)
+        capsys.readouterr()
+
+    check()

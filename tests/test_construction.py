@@ -8,12 +8,11 @@ import pytest
 from scaledim import construction, solver
 from scaledim import (INFEASIBLE, SmallCircleWarning, WeightSchedule,
                       check_conditions, check_metric, cyclic_group,
-                      dim_at_scale, dim_le, dim_zero_witness, from_matrix,
-                      group_truncation, interval, l1_axis_subsets,
-                      l1_prefix_indices, l1_sum, profile, profile_csv,
-                      relabel, scale, schedule_csv, subspace,
-                      truncation_factors, validate_cover, wedge_arm_subsets,
-                      wedge_points, wedge_truncation, weight_schedule)
+                      dim_at_scale, dim_le, from_matrix, group_truncation,
+                      interval, l1_axis_subsets, l1_sum, profile,
+                      profile_csv, relabel, scale, schedule_csv, subspace,
+                      truncation_factors, wedge_arm_subsets, wedge_points,
+                      wedge_truncation, weight_schedule)
 
 
 def quiet_schedule(p, levels, mode="group"):
@@ -40,6 +39,22 @@ def test_interval_schedule_values():
     assert sched.weights == (1, 4, 20, 117)
     # p plays no role in this mode
     assert quiet_schedule(7, 4, "interval-wedge").weights == sched.weights
+
+
+def test_schedule_is_the_direct_recurrence():
+    # a_n is one more than the prior assembly's diameter: the sum of the
+    # earlier pieces' eccentricities a_k * (p^k // 2) in group mode, the
+    # two largest of them in wedge mode, recomputed here at every level.
+    for p in (3, 5):
+        for mode in ("group", "wedge"):
+            weights, eccs = [], []
+            for n in range(1, 61):
+                prior = sorted(eccs)[-2:] if mode == "wedge" else eccs
+                weights.append(1 + sum(prior))
+                eccs.append(weights[-1] * (p**n // 2))
+            for levels in range(1, 61):
+                assert quiet_schedule(p, levels, mode).weights == \
+                    tuple(weights[:levels]), (p, mode, levels)
 
 
 def test_each_weight_exceeds_what_came_before():
@@ -168,12 +183,6 @@ def test_arm_subsets_are_isometric_to_factors(random_wedge):
                 assert w.dist(wq, wr) == want, (f, q, g, r)
 
 
-def test_prefix_indices():
-    factors = truncation_factors(quiet_schedule(3, 3))
-    assert l1_prefix_indices(factors, 1) == [0, 1, 2]
-    assert l1_prefix_indices(factors, 2) == list(range(27))
-
-
 # -- conditions ----------------------------------------------------------------
 
 
@@ -233,30 +242,7 @@ def test_rises_come_from_one_scan_per_level(monkeypatch):
                      == INFEASIBLE) for c in range(1, lv.n + 1))
 
 
-def test_conditions_factor_count_mismatch():
-    sched = quiet_schedule(3, 2)
-    with pytest.raises(ValueError, match="expected 2 factors"):
-        check_conditions(sched, [cyclic_group(3, 1)])
-
-
-# -- witnesses and profiles -----------------------------------------------------
-
-
-def test_dim_zero_witness_on_group_truncation():
-    g2 = group_truncation(3, 2)
-    cover = dim_zero_witness(g2, l1_prefix_indices(
-        truncation_factors(quiet_schedule(3, 2)), 1), 1, 2)
-    assert len(cover.families) == 1
-    assert validate_cover(g2, cover).ok
-    assert frozenset({0, 1, 2}) in cover.families[0]
-
-
-def test_dim_zero_witness_refuses_connected_complement():
-    g2 = group_truncation(3, 2)
-    with pytest.raises(ValueError, match="no single-family cover"):
-        # at lam 2 the whole space is one chain, so the prefix cluster
-        # cannot be separated from the rest
-        dim_zero_witness(g2, [0, 1, 2], 2, 2)
+# -- profiles -----------------------------------------------------------------
 
 
 def test_profile_small_space_is_exact():
@@ -300,28 +286,31 @@ def test_profile_large_space_probes_the_factors(monkeypatch):
         return real(space, *args, **kwargs)
 
     monkeypatch.setattr(construction, "dim_at_scale", record)
+    monkeypatch.setattr(construction, "DEFAULT_SEARCH_SIZE_CAP", 10)
     # Spaces compare by identity: the probes are the factor objects.
     g2 = group_truncation(3, 2)
-    prof = profile(g2, 2, [2], search_size_cap=10)
+    prof = profile(g2, 2, [2])
     assert [(s.value, s.status) for s in prof.samples] == [(1, "lower-bound")]
     assert seen == list(g2.structure[1])
     seen.clear()
     w3 = wedge_truncation(3, 3)
-    prof = profile(w3, 2, [1, 2], search_size_cap=10)
+    prof = profile(w3, 2, [1, 2])
     assert [(s.value, s.status) for s in prof.samples] == [
         (0, "exact"), (1, "lower-bound")]
     c3, c9, _ = w3.structure[1]
     assert seen == [c3, c9, w3, c3, c9]
 
 
-def test_profile_large_space_without_witnesses_probes_two_families():
+def test_profile_large_space_without_witnesses_probes_two_families(
+        monkeypatch):
     # with no witnesses the big-space policy falls back to a component
     # scan plus a single two-family probe; on a space that is actually
     # small we can check the answer against the exact search
     g2 = relabel(group_truncation(3, 2), range(27))
     truth = dim_at_scale(g2, 2, 4)
     assert truth.status == "exact"
-    prof = profile(g2, 2, [2], search_size_cap=10)
+    monkeypatch.setattr(construction, "DEFAULT_SEARCH_SIZE_CAP", 10)
+    prof = profile(g2, 2, [2])
     (s,) = prof.samples
     if truth.value <= 1:
         assert (s.value, s.status) == (truth.value, "exact")
@@ -343,11 +332,12 @@ def test_profile_large_space_maps_each_outcome(monkeypatch):
         return real(space, lam, subset)
 
     monkeypatch.setattr(solver, "lambda_components", count)
-    prof = profile(grid, 2, [8, 1, 2], search_size_cap=10)
+    monkeypatch.setattr(construction, "DEFAULT_SEARCH_SIZE_CAP", 10)
+    prof = profile(grid, 2, [8, 1, 2])
     assert [(s.value, s.status) for s in prof.samples] == [
         (0, "exact"), (1, "exact"), (2, "lower-bound")]
     assert scans == [8, 1, 2]
-    prof = profile(grid, 2, [1], search_size_cap=10, node_budget=1)
+    prof = profile(grid, 2, [1], node_budget=1)
     assert [(s.value, s.status) for s in prof.samples] == [(1, "unknown")]
 
 
