@@ -23,8 +23,8 @@ import sys
 import warnings
 from typing import Optional, Sequence
 
-from .construction import (SmallCircleWarning, profile, profile_csv,
-                           schedule_csv, weight_schedule)
+from .construction import (SmallCircleWarning, _weights, profile, profile_csv,
+                           schedule_csv)
 from .covers import Certificate, read_certificate, validate_cover, write_certificate
 from .solver import _BRUTE_LIMIT, DEFAULT_NODE_BUDGET, dim_at_scale, oracle_check
 from .spaces import MetricError, check_metric
@@ -270,8 +270,9 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_schedule(args) -> int:
     _check_range("--p", args.p, args.p >= 2, "at least 2")
     _check_range("--N", args.N, args.N >= 1, "positive")
-    schedule = weight_schedule(args.p, args.N, args.mode)
-    text = schedule_csv(schedule)
+    # Each weight is formatted as it is built, so a schedule stops at its
+    # first weight too long to print.
+    text = schedule_csv(_weights(args.p, args.N, args.mode))
     sys.stdout.write(text)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .solver import DEFAULT_NODE_BUDGET, dim_at_scale, lambda_components
 from .spaces import (DEFAULT_PRODUCT_CAP, FiniteMetricSpace, cyclic_group,
@@ -55,6 +55,9 @@ class WeightSchedule:
         """a_n, with n counted from 1."""
         return self.weights[n - 1]
 
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.weights)
+
 
 def _piece_eccentricity(p: int, n: int, a_n: int, mode: str) -> int:
     # Largest distance from the basepoint within the level-n piece.
@@ -75,29 +78,32 @@ def weight_schedule(p: int, levels: int, mode: str = "group") -> WeightSchedule:
     Emits SmallCircleWarning for any level whose circle has fewer than
     2*(level+1) points.
     """
+    return WeightSchedule(p, tuple(_weights(p, levels, mode)), mode)
+
+
+def _weights(p: int, levels: int, mode: str) -> Iterator[int]:
+    # weight_schedule's weights one at a time, each after its warning.
     if mode not in SCHEDULE_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {SCHEDULE_MODES}")
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be an integer >= 2, got {p!r}")
     if not isinstance(levels, int) or levels < 1:
         raise ValueError(f"levels must be a positive integer, got {levels!r}")
-    weights: list[int] = []
     # The prior assembly's diameter, kept as it grows: the sum of all
     # eccentricities in group mode, the two largest in the wedge modes.
     total = first = second = 0
     for n in range(1, levels + 1):
         a_n = 1 + (total if mode == "group" else first + second)
-        weights.append(a_n)
-        ecc = _piece_eccentricity(p, n, a_n, mode)
-        total += ecc
-        second, first = sorted((first, second, ecc))[1:]
         if mode != "interval-wedge" and p**n < 2 * (n + 1):
             warnings.warn(
                 f"level {n}: the circle has {p**n} points, so its diameter "
                 f"{a_n * (p**n // 2)} is at most {n} * a_{n}; the "
                 f"single-family step fails at this level",
-                SmallCircleWarning, stacklevel=2)
-    return WeightSchedule(p, tuple(weights), mode)
+                SmallCircleWarning, stacklevel=3)
+        yield a_n
+        ecc = _piece_eccentricity(p, n, a_n, mode)
+        total += ecc
+        second, first = sorted((first, second, ecc))[1:]
 
 
 def truncation_factors(schedule: WeightSchedule) -> list[FiniteMetricSpace]:
@@ -354,12 +360,12 @@ def profile_csv(prof: Profile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def schedule_csv(schedule: WeightSchedule) -> str:
-    """The schedule as CSV.  A weight too long for the interpreter's
-    integer-to-text limit is a ValueError naming its level."""
+def schedule_csv(schedule: Iterable[int]) -> str:
+    """The weights a_1, a_2, ... of a schedule as CSV, read one at a
+    time.  A weight too long for the interpreter's integer-to-text limit
+    is a ValueError naming its level, and no later weight is read."""
     lines = ["n,a_n"]
-    for n in range(1, schedule.levels + 1):
-        a_n = schedule.weight(n)
+    for n, a_n in enumerate(schedule, 1):
         try:
             lines.append(f"{n},{a_n}")
         except ValueError:

@@ -35,18 +35,18 @@ hand-built oracles too.
 
 A family of an l1 sum takes the hull of every check from per-factor
 tables.  Each factor is read once, each distinct projection against
-U_f, the union of the projections, and reduced to a table of least and
-one of largest distances from each projection to each point of U_f;
-gathering those at each projection's points gives every pair of
-projections its least and largest factor distance.  The pair bounds are
-summed over the factors in blocks of cluster rows.  On product clusters
-the tables are exact, so they settle every check that holds and no
-distance of the sum is read.  The pivot scan then reads only the
-clusters named in a check the tables leave open.  On a guaranteed
-metric the tables are refused when they would read more factor entries
-than the family's pivot scan.  For n clusters holding N points in all,
-that scan reads n * N entries of the sum, each of them one entry of
-each of the F factors, so the tables are refused when
+U_f, the union of the projections, block by block; each projection's
+least distances to U_f, gathered at each projection's points, give
+every pair of projections its least factor distance, and its own
+columns its diameter.  The pair bounds are summed over the factors in
+blocks of cluster rows.  On product clusters the tables are exact, so
+they settle every check that holds and no distance of the sum is read.
+The pivot scan then reads only the clusters named in a check the
+tables leave open.  On a guaranteed metric the tables are refused when
+they would read more factor entries than the family's pivot scan.  For
+n clusters holding N points in all, that scan reads n * N entries of
+the sum, each of them one entry of each of the F factors, so the
+tables are refused when
 
     sum_f sum_c |proj_f c| * |U_f| > F * n * N.
 
@@ -77,6 +77,11 @@ is symmetric.  With one run pair, or more run pairs than the plain scan
 has blocks, the plain scan runs.  A point moved between two product
 clusters of a certify job leaves about 1,500 of their 1.06 million
 distances to read.  Wedges keep the plain scan.
+
+``validate_cover`` always recomputes, and records on the space the last
+cover it passed whose families are tuples of frozenset tuples, as
+``ScaledCover.of`` builds them; ``shrink_to_partition`` validates
+only a cover that is not it.
 """
 
 from __future__ import annotations
@@ -260,19 +265,19 @@ def _hull_tables(factors: Sequence[FiniteMetricSpace],
                  ) -> Optional[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """The product-hull tables of a family of an l1 sum, per factor:
     each cluster's class (clusters with equal projections on the factor
-    share one) and two classes x classes tables, the least and the
-    largest factor distance from one class's projection (rows) to
-    another's (columns).  Summed over the factors, entry (c1, c2) is at
-    most the least distance from cluster c1 to cluster c2 (at least the
-    largest), and equal to it when both clusters are products.
+    share one), a classes x classes table of the least factor distance
+    from one class's projection (rows) to another's (columns), and each
+    class's projection diameter.  Summed over the factors, they bound
+    each least distance between clusters from below and each cluster's
+    diameter from above, and are exact on products.
 
     A factor is read once, each class's projection against U, the union
-    of the projections, and folded by class (``_run_rows``) into a
-    classes x U table of minima and one of maxima; gathering those at
-    each class's columns gives the classes x classes tables, in blocks
-    of class rows.  None when sum_f sum_c |proj_f c| * |U_f|, which
-    bounds the factor entries read, is over ``budget``; never for a
-    budget of None."""
+    of the projections, block by block.  Each block's rows are folded by
+    class (``_run_rows``) into the least distance to each point of U,
+    and a class's row of the table is gathered once its rows are all
+    folded, so no classes x U table is held.  None when sum_f sum_c
+    |proj_f c| * |U_f|, which bounds the factor entries read, is over
+    ``budget``; never for a budget of None."""
     n = len(proj[0][1]) - 1
     unions = []
     for g, (coords, _) in zip(factors, proj):
@@ -297,24 +302,28 @@ def _hull_tables(factors: Sequence[FiniteMetricSpace],
             cls.append(k)
         rows, offsets = _segments(coords, off,
                                   np.array(firsts, dtype=np.intp))
-        union = np.flatnonzero(member)
         column = (np.cumsum(member) - 1)[rows]  # each row's column in U
-        low = np.full((len(firsts), len(union)), np.iinfo(np.int64).max)
-        high = np.full((len(firsts), len(union)), np.iinfo(np.int64).min)
-        for start, block in g.row_blocks(rows, union):
-            lo, hi, at = _run_rows(offsets, start, start + len(block))
-            runs = block[at]
-            np.minimum(low[lo:hi], runs.min(axis=1), out=low[lo:hi])
-            np.maximum(high[lo:hi], runs.max(axis=1), out=high[lo:hi])
         least = np.empty((len(firsts), len(firsts)), dtype=np.int64)
-        largest = np.empty_like(least)
+        diam = np.full(len(firsts), np.iinfo(np.int64).min)
         step = spaces._block_rows(len(rows))
-        for r in range(0, len(firsts), step):
-            least[r:r + step] = np.minimum.reduceat(
-                low[r:r + step, column], offsets[:-1], axis=1)
-            largest[r:r + step] = np.maximum.reduceat(
-                high[r:r + step, column], offsets[:-1], axis=1)
-        tables.append((np.array(cls, dtype=np.intp), least, largest))
+        carry = None  # the folded rows of a class the last block cut
+        for start, block in g.row_blocks(rows, np.flatnonzero(member)):
+            stop = start + len(block)
+            lo, hi, at = _run_rows(offsets, start, stop)
+            own = column[offsets[lo] + _run_rows(offsets, offsets[lo],
+                                                 offsets[hi])[2]]
+            np.maximum(diam[lo:hi], block[at[:, :, None], own[:, None, :]]
+                       .max(axis=(1, 2)), out=diam[lo:hi])
+            low = block[at].min(axis=1)
+            if carry is not None:
+                np.minimum(low[0], carry, out=low[0])
+            done = hi - int(offsets[hi] > stop)
+            carry = low[-1] if done < hi else None
+            for r in range(lo, done, step):
+                least[r:min(done, r + step)] = np.minimum.reduceat(
+                    low[r - lo:min(done, r + step) - lo, column],
+                    offsets[:-1], axis=1)
+        tables.append((np.array(cls, dtype=np.intp), least, diam))
     return tables
 
 
@@ -341,13 +350,13 @@ def _table_open(tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
                 n: int, lam: int, control: int
                 ) -> tuple[list[tuple[int, int]], list[int]]:
     """The pairs (c1, c2), c1 < c2, whose summed least table entry is
-    at most lam, and the clusters whose summed largest diagonal entry is
+    at most lam, and the clusters whose summed projection diameters are
     over the control, in order.  The pair bounds are summed in blocks of
     cluster rows of at most ``spaces._SCAN_ELEMS`` entries, each row from
     its own cluster on, so no clusters x clusters table is held."""
     wide = np.zeros(n, dtype=np.int64)
-    for cls, _, largest in tables:
-        wide += largest[cls, cls]
+    for cls, _, diam in tables:
+        wide += diam[cls]
     pairs = []
     step = spaces._block_rows(n)
     for start in range(0, n, step):
@@ -485,7 +494,12 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover) -> ValidationRe
     """
     families = [_cluster_arrays(fam, space.size) for fam in cover.families]
     found = _violations(space, families, cover.scale.lam, cover.scale.control)
-    return ValidationReport(tuple(itertools.islice(found, MAX_VIOLATIONS)))
+    report = ValidationReport(tuple(itertools.islice(found, MAX_VIOLATIONS)))
+    if report.ok and type(cover.families) is tuple and all(
+            type(fam) is tuple and all(type(cl) is frozenset for cl in fam)
+            for fam in cover.families):
+        space._valid = cover
+    return report
 
 
 def _violations(space: FiniteMetricSpace, families: list[list[np.ndarray]],
@@ -517,10 +531,11 @@ def shrink_to_partition(space: FiniteMetricSpace,
     """Remove overlaps: each point keeps only its lowest (family, cluster)
     slot.  Validity is preserved (clusters only shrink, so separations
     grow and diameters fall) and the family count is unchanged.  Covers
-    that are already partitions come back equal.
+    that are already partitions come back equal.  An invalid cover is a
+    ValueError; the cover last recorded on the space is not re-validated.
     """
-    report = validate_cover(space, cover)
-    if not report.ok:
+    if cover is not space._valid and not (
+            report := validate_cover(space, cover)).ok:
         raise ValueError(f"cannot shrink an invalid cover: {report.describe()}")
     seen: set[int] = set()
     fams = []

@@ -518,7 +518,7 @@ def _search(space: FiniteMetricSpace, lam: int, control: int, n: int,
     # One family suffices exactly when every lam-component is small
     # enough; this settles n = 0 outright and short-circuits larger n.
     if parts.max_diameter() <= control:
-        families: list[list] = [list(parts.blocks)]
+        families: list = [map(frozenset, parts.blocks)]
         families.extend([] for _ in range(n))
         cover = ScaledCover.of(lam, control, families)
         return SearchOutcome(FEASIBLE, cover, 0)

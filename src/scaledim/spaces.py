@@ -116,7 +116,7 @@ class FiniteMetricSpace:
 
     __slots__ = ("size", "basepoint", "label", "_oracle", "_blocks",
                  "_matrix", "_diam", "_minpos", "_step", "_structure",
-                 "_metric")
+                 "_metric", "_valid")
 
     def __init__(self, size: int, oracle: Callable[[int, int], int], *,
                  basepoint: Optional[int] = None, label: str = "space",
@@ -139,6 +139,7 @@ class FiniteMetricSpace:
         self._step = chain_step_hint
         self._structure: Optional[tuple] = None
         self._metric = False
+        self._valid = None  # the last cover validate_cover passed on it
 
     @property
     def structure(self) -> Optional[tuple]:

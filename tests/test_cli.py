@@ -367,6 +367,25 @@ def test_schedule_weight_too_long_to_print_exits_2(capsys):
     assert code == 0 and out.splitlines()[-1].startswith(f"{last},")
 
 
+def test_a_long_schedule_stops_at_its_first_unprintable_weight(capsys,
+                                                              monkeypatch):
+    # Each weight is printed as it is built, so 2000 levels fail as 137
+    # do, and no level past the first unprintable one is built.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit <= 4300:
+        pytest.skip("the integer-to-text limit is off or above its default")
+    built, eccentricity = [], construction._piece_eccentricity
+    monkeypatch.setattr(construction, "_piece_eccentricity", lambda p, n, *a:
+                        built.append(n) or eccentricity(p, n, *a))
+    code, out, err = run(capsys, "schedule", "--p", "3", "--N", "2000")
+    assert code == 2 and out == ""
+    level = int(re.search(r"^error: schedule level (\d+): ", err,
+                          re.MULTILINE).group(1))
+    assert built == list(range(1, level))
+    assert run(capsys, "schedule", "--p", "3", "--N", "137") == (code, out,
+                                                                  err)
+
+
 def test_strict_escalates_schedule_warnings(capsys):
     code, _, err = run(capsys, "schedule", "--p", "3", "--N", "2", "--strict")
     assert code == 2

@@ -1,6 +1,7 @@
 """Cover validation, shrinking, and certificate files."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scaledim import (Certificate, FiniteMetricSpace, ScaledCover, ScalePair,
                       dim_at_scale,
                       format_certificate, from_matrix, interval, l1_sum,
                       parse_certificate, random_metric_space,
-                      read_certificate, relabel, scale, shrink_to_partition,
-                      spaces, subspace, validate_cover, wedge,
-                      write_certificate)
+                      read_certificate, relabel, scale,
+                      shrink_to_partition, solver, spaces, subspace,
+                      validate_cover, wedge, write_certificate)
 from scaledim.spacespec import build_space, parse_spec
 
 
@@ -132,6 +133,126 @@ def test_shrink_can_drop_emptied_clusters():
     shrunk = shrink_to_partition(sp, cover)
     assert shrunk.families[1] == (frozenset({2}), frozenset({5}))
     assert shrunk.point_count() == 6
+
+
+def _count_validations(monkeypatch):
+    """The spaces of every ``validate_cover`` call made through
+    ``covers`` from now on."""
+    spaces_seen, validate = [], covers.validate_cover
+
+    def counting_validate(space, cover):
+        spaces_seen.append(space)
+        return validate(space, cover)
+
+    monkeypatch.setattr(covers, "validate_cover", counting_validate)
+    return spaces_seen
+
+
+def _relabelled_group():
+    """A relabelled copy of group(3,3): the same metric with no
+    structure, so its components take the BFS and its validation binds
+    readers of it."""
+    group = build_space(parse_spec("group(3,3)"))
+    return relabel(group, range(group.size))
+
+
+def _relabelled_group_cover():
+    space = _relabelled_group()
+    return space, dim_at_scale(space, 9, 18).certificate
+
+
+def test_shrink_reuses_the_last_verdict_on_its_space(monkeypatch):
+    """Right after ``validate_cover`` passes a cover, shrinking that very
+    cover on that space validates nothing again and binds no reader of
+    it; validating it again does, and so does shrinking an equal but
+    distinct copy."""
+    space, cover = _relabelled_group_cover()
+    assert validate_cover(space, cover).ok
+    binds = _count_binds(monkeypatch, space)
+    checks = _count_validations(monkeypatch)
+    assert shrink_to_partition(space, cover) == cover
+    assert binds == [] and checks == []
+    assert covers.validate_cover(space, cover).ok
+    assert len(binds) > 0 and checks == [space]
+    del binds[:]
+    copy = ScaledCover.of(9, 18, cover.families)
+    assert copy == cover and copy is not cover
+    assert shrink_to_partition(space, copy) == cover
+    assert len(binds) > 0 and checks == [space, space]
+
+
+def test_an_invalid_cover_is_refused_after_a_valid_one():
+    space, cover = _relabelled_group_cover()
+    assert validate_cover(space, cover).ok
+    # Two clusters of the family merged: too wide for the control.
+    fam = cover.families[0]
+    bad = ScaledCover.of(9, 18, [(fam[0] | fam[1],) + fam[2:]])
+    with pytest.raises(ValueError, match="cannot shrink an invalid cover"):
+        shrink_to_partition(space, bad)
+    assert shrink_to_partition(space, cover) == cover
+
+
+def test_a_verdict_belongs_to_its_space(monkeypatch):
+    """A cover valid on group(3,3) and on its scaled and relabelled
+    copies is validated again on each copy, which is its own space."""
+    group = build_space(parse_spec("group(3,3)"))
+    cover = ScaledCover.of(9, 36,
+                           dim_at_scale(group, 9, 18).certificate.families)
+    assert validate_cover(group, cover).ok
+    checks = _count_validations(monkeypatch)
+    copies = [scale(group, 2), relabel(group, range(group.size))]
+    for other in copies:
+        assert shrink_to_partition(other, cover) == cover
+    assert checks == copies
+    assert shrink_to_partition(group, cover) == cover
+    assert checks == copies
+
+
+def test_a_cover_of_mutable_sets_is_never_recorded():
+    """A ``ScaledCover`` built directly around sets, or around lists,
+    validates but is not recorded: its clusters can change after.  The
+    same clusters as tuples of frozensets are."""
+    sp = path4()
+    first, last = {0, 1, 2}, frozenset({3})
+    of_sets = ScaledCover(ScalePair(1, 2), ((first,), (last,)))
+    for cover in [of_sets,
+                  ScaledCover(ScalePair(1, 2), [(frozenset(first),), (last,)]),
+                  ScaledCover(ScalePair(1, 2), ([frozenset(first)], (last,)))]:
+        assert validate_cover(sp, cover).ok
+        assert sp._valid is None
+    frozen = ScaledCover(ScalePair(1, 2), ((frozenset(first),), (last,)))
+    assert validate_cover(sp, frozen).ok and sp._valid is frozen
+    first.add(3)  # the first cluster is now 3 wide, over the control
+    with pytest.raises(ValueError, match="cannot shrink an invalid cover"):
+        shrink_to_partition(sp, of_sets)
+
+
+@pytest.mark.parametrize("make, lam, path", [
+    (_relabelled_group, 9, "_components"),
+    (lambda: build_space(parse_spec("group(3,3)")), 9, "_components_product"),
+    (lambda: wedge([interval(3, 1), interval(2, 5)]), 1, "_components_wedge"),
+    (lambda: interval(5, 2), 1, None),  # discrete: a block per point
+    (lambda: interval(5, 1), 1, None),  # connected: one block
+], ids=["bfs", "product", "wedge", "discrete", "connected"])
+def test_component_blocks_are_tuples_of_python_ints(make, lam, path,
+                                                    monkeypatch):
+    """On each path of the component scan the blocks are tuples of
+    Python ints, so the one-family cover it settles takes each block as
+    a frozenset as it is, without converting its points."""
+    space = make()
+    ran = []
+
+    def spy(name, scan):
+        return lambda *args: ran.append(name) or scan(*args)
+
+    for name in ("_components", "_components_product", "_components_wedge"):
+        monkeypatch.setattr(solver, name, spy(name, getattr(solver, name)))
+    blocks = solver.lambda_components(space, lam).blocks
+    assert ran == ([path] if path else [])
+    assert {type(b) for b in blocks} == {tuple}
+    assert {type(p) for b in blocks for p in b} == {int}
+    cover = dim_at_scale(space, lam, space.diameter()).certificate
+    assert cover.families == (tuple(frozenset(b) for b in blocks),)
 
 
 def test_certificate_text_roundtrip():
@@ -655,12 +776,14 @@ def _hull_sets(space):
 @pytest.mark.parametrize("elems", [spaces._SCAN_ELEMS, 40, 1])
 def test_hull_tables_against_the_oracle(name, elems, monkeypatch):
     """Over every ordered pair of some products of factor sets and some
-    random sets, the tables summed over the factors, the first set's
-    projections as rows, bracket the least and the largest distance
-    read from the scalar oracle, and meet them on two products: in long
-    blocks, in blocks of a few rows, and a row a block.  ``_table_open``
-    keeps exactly the pairs c1 < c2 whose least bound is at most lam
-    and the sets whose largest is over the control."""
+    random sets, the least tables summed over the factors, the first
+    set's projections as rows, are at most the least distance read from
+    the scalar oracle, and equal it on two products; the summed
+    projection diameters are at least each set's largest distance, and
+    equal it on a product: in long blocks, in blocks of a few rows, and
+    a row a block.  ``_table_open`` keeps exactly the pairs c1 < c2
+    whose least bound is at most lam and the sets whose diameter bound
+    is over the control."""
     monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
     space = _HULL_SPACES[name]()
     kind, factors = space.structure
@@ -671,20 +794,44 @@ def test_hull_tables_against_the_oracle(name, elems, monkeypatch):
         factors, covers._projections(factors, arrays), None)
     assert len(tables) == len(factors)
     low = sum(least[np.ix_(cls, cls)] for cls, least, _ in tables)
-    high = sum(largest[np.ix_(cls, cls)] for cls, _, largest in tables)
+    wide_bound = sum(diam[cls] for cls, _, diam in tables)
     for i in range(n):
         for j in range(n):
             d = [space.dist(p, q) for p in arrays[i] for q in arrays[j]]
-            assert low[i, j] <= min(d) and high[i, j] >= max(d)
+            assert low[i, j] <= min(d)
             if products[i] and products[j]:
-                assert (low[i, j], high[i, j]) == (min(d), max(d))
-    wide_bound = high.diagonal()
+                assert low[i, j] == min(d)
+            if i == j:
+                assert wide_bound[i] >= max(d)
+                if products[i]:
+                    assert wide_bound[i] == max(d)
     for lam, control in [(0, 0), (int(np.median(low)),
                                   int(np.median(wide_bound)))]:
         pairs, wide = covers._table_open(tables, n, lam, control)
         assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)
                          if low[i, j] <= lam]
         assert wide == [c for c in range(n) if wide_bound[c] > control]
+
+
+def test_hull_tables_hold_little_beyond_the_least_table():
+    """On each family of the 5000-point sum's certificate, 1,250
+    clusters of 625 circle classes, the tables peak at 10 MiB at most:
+    about the 3 MiB least table, not the classes x U tables of minima
+    and maxima a family once held (24.3 MiB)."""
+    space = build_space(parse_spec("sum(circle(2500,1),interval(1,3))"))
+    factors = space.structure[1]
+    cover = dim_at_scale(space, 1, 2).certificate
+    assert [len(fam) for fam in cover.families] == [1250, 1250]
+    for fam in cover.families:
+        proj = covers._projections(
+            factors, covers._cluster_arrays(fam, space.size))
+        tracemalloc.start()
+        try:
+            assert covers._hull_tables(factors, proj, None) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
 
 def test_run_rows_name_each_runs_rows_in_a_block():
