@@ -81,12 +81,14 @@ distances to read.  Wedges keep the plain scan.
 ``validate_cover`` always recomputes, and records on the space the last
 cover it passed whose families are tuples of frozenset tuples, as
 ``ScaledCover.of`` builds them; ``shrink_to_partition`` validates
-only a cover that is not it.
+only a cover that is not it, and gives a partition back on its own
+clusters.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -452,10 +454,10 @@ def _run_pairs(space: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray,
     a reader of the sum."""
     if space.structure is None or space.structure[0] != "sum":
         return None
-    factors = space.structure[1]
-    *rest, last = factors
-    row_digits = spaces.l1_digits(factors, rows)[-1]
-    col_digits = spaces.l1_digits(factors, cols)[-1]
+    *rest, last = space.structure[1]
+    stride = math.prod(g.size for g in rest)
+    row_digits = rows // stride
+    col_digits = row_digits if rows is cols else cols // stride
     r = np.flatnonzero(_run_starts(row_digits))
     c = np.flatnonzero(_run_starts(col_digits))
     half = rows is cols and space.metric_guaranteed
@@ -530,13 +532,20 @@ def shrink_to_partition(space: FiniteMetricSpace,
                         cover: ScaledCover) -> ScaledCover:
     """Remove overlaps: each point keeps only its lowest (family, cluster)
     slot.  Validity is preserved (clusters only shrink, so separations
-    grow and diameters fall) and the family count is unchanged.  Covers
-    that are already partitions come back equal.  An invalid cover is a
-    ValueError; the cover last recorded on the space is not re-validated.
+    grow and diameters fall) and the family count is unchanged.  A cover
+    that is already a partition, its cluster sizes summing to the
+    space's size, comes back equal, on its own frozenset clusters.  An
+    invalid cover is a ValueError; the cover last recorded on the space
+    is not re-validated.
     """
     if cover is not space._valid and not (
             report := validate_cover(space, cover)).ok:
         raise ValueError(f"cannot shrink an invalid cover: {report.describe()}")
+    lam, control = cover.scale.lam, cover.scale.control
+    # A valid cover covers every point, so sizes summing to the space's
+    # size leave no point in two clusters.
+    if sum(len(cl) for fam in cover.families for cl in fam) == space.size:
+        return ScaledCover.of(lam, control, cover.families)
     seen: set[int] = set()
     fams = []
     for fam in cover.families:
@@ -547,7 +556,7 @@ def shrink_to_partition(space: FiniteMetricSpace,
             if kept:
                 new_fam.append(kept)
         fams.append(new_fam)
-    return ScaledCover.of(cover.scale.lam, cover.scale.control, fams)
+    return ScaledCover.of(lam, control, fams)
 
 
 # -- certificate files ------------------------------------------------------
@@ -572,7 +581,7 @@ def format_certificate(cert: Certificate) -> str:
     for f, fam in enumerate(cert.cover.families):
         lines.append(f"family {f}")
         for cl in fam:
-            lines.append("cluster " + " ".join(map(str, sorted(cl))))
+            lines.append("cluster" + " %d" * len(cl) % tuple(sorted(cl)))
     return "\n".join(lines) + "\n"
 
 

@@ -109,6 +109,16 @@ def test_cluster_arrays_are_sorted_and_name_the_least_bad_point():
             covers._cluster_arrays([frozenset({0}), frozenset(cl)], 6)
 
 
+def _shrink_by_set_difference(cover):
+    """Each point in its lowest (family, cluster) slot, one set
+    difference and union per cluster, whatever the cover."""
+    seen, fams = set(), []
+    for fam in cover.families:
+        fams.append([cl - seen for cl in fam if cl - seen])
+        seen.update(*fams[-1])
+    return ScaledCover.of(cover.scale.lam, cover.scale.control, fams)
+
+
 def test_shrink_removes_overlaps_and_is_idempotent():
     sp = path4()
     overlapping = ScaledCover.of(1, 2, [[[0, 1, 2]], [[2, 3]]])
@@ -131,8 +141,47 @@ def test_shrink_can_drop_emptied_clusters():
     cover = ScaledCover.of(0, 3, [[[0, 1], [3, 4]], [[0, 1], [2], [5]]])
     assert validate_cover(sp, cover).ok
     shrunk = shrink_to_partition(sp, cover)
+    assert shrunk == _shrink_by_set_difference(cover)
     assert shrunk.families[1] == (frozenset({2}), frozenset({5}))
     assert shrunk.point_count() == 6
+
+
+def _certify_partition():
+    """A ``certify`` job's space and its solver certificate, one family
+    of 2,187 points."""
+    space = build_space(parse_spec(
+        "sum(circle(9,2),circle(27,10),circle(9,140))"))
+    return space, dim_at_scale(space, 139, 278).certificate
+
+
+@pytest.mark.parametrize("make", [
+    _certify_partition,
+    lambda: (interval(5, 1),
+             ScaledCover.of(0, 3, [[[4, 5], [0, 1]], [[2], [3]]])),
+], ids=["certify", "hand-built"])
+def test_a_partition_shrinks_to_its_own_clusters(make):
+    """A valid cover whose cluster sizes sum to the space's size comes
+    back equal to the set-difference shrink, on the very frozensets it
+    was given."""
+    space, cover = make()
+    assert sum(len(cl) for fam in cover.families for cl in fam) == space.size
+    shrunk = shrink_to_partition(space, cover)
+    assert shrunk == _shrink_by_set_difference(cover) == cover
+    assert all(new is old for new_fam, old_fam
+               in zip(shrunk.families, cover.families, strict=True)
+               for new, old in zip(new_fam, old_fam, strict=True))
+
+
+@pytest.mark.parametrize("families", [
+    [[{4, 5}, {0, 1}], [{2}, {3}]],  # a partition
+    [[{4, 5}, {0, 1}], [{1, 2}, {3, 4}]],  # with overlaps
+], ids=["partition", "overlaps"])
+def test_a_cover_of_sets_shrinks_to_frozensets(families):
+    cover = ScaledCover(ScalePair(0, 3),
+                        tuple(tuple(fam) for fam in families))
+    shrunk = shrink_to_partition(interval(5, 1), cover)
+    assert {type(cl) for fam in shrunk.families for cl in fam} == {frozenset}
+    assert shrunk == _shrink_by_set_difference(cover)
 
 
 def _count_validations(monkeypatch):
@@ -311,6 +360,45 @@ def test_empty_families_roundtrip():
     assert validate_cover(sp, cover).ok
     cert = Certificate("pad", 4, cover)
     assert parse_certificate(format_certificate(cert)) == cert
+
+
+def _joined_cluster_lines(cover):
+    return ["cluster " + " ".join(map(str, sorted(cl)))
+            for fam in cover.families for cl in fam]
+
+
+@pytest.mark.parametrize("point", [int, np.int64], ids=["int", "int64"])
+def test_cluster_lines_are_the_joined_points(point):
+    """Each cluster line holds the same bytes as its sorted points joined
+    by ``str``, for Python and numpy ints alike."""
+    rng = random.Random(7)
+    points = rng.sample(range(10**6), 300)
+    clusters = [frozenset(map(point, points[a:b]))
+                for a, b in [(0, 1), (1, 3), (3, 100), (100, 300)]]
+    cover = ScaledCover.of(5, 9, [clusters[:2], clusters[2:]])
+    lines = format_certificate(Certificate("x", 10**6, cover)).splitlines()
+    assert [ln for ln in lines if ln.startswith("cluster")] == \
+        _joined_cluster_lines(cover)
+
+
+def test_certificate_text_roundtrip_on_generated_covers():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    clusters = st.frozensets(st.integers(0, 10**12), min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(lam=st.integers(0, 10**9), control=st.integers(0, 10**9),
+                      families=st.lists(st.lists(clusters, max_size=5),
+                                        max_size=4))
+    def check(lam, control, families):
+        cert = Certificate("generated", 10**12 + 1,
+                           ScaledCover.of(lam, control, families))
+        text = format_certificate(cert)
+        assert parse_certificate(text) == cert
+        assert [ln for ln in text.splitlines() if ln.startswith("cluster")] \
+            == _joined_cluster_lines(cert.cover)
+
+    check()
 
 
 # -- pruning by the triangle inequality -----------------------------------
