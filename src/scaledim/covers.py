@@ -40,13 +40,14 @@ least distances to U_f, gathered at each projection's points, give
 every pair of projections its least factor distance, and its own
 columns its diameter.  The pair bounds are summed over the factors in
 blocks of cluster rows.  On product clusters the tables are exact, so
-they settle every check that holds and no distance of the sum is read.
-The pivot scan then reads only the clusters named in a check the
-tables leave open.  On a guaranteed metric the tables are refused when
-they would read more factor entries than the family's pivot scan.  For
-n clusters holding N points in all, that scan reads n * N entries of
-the sum, each of them one entry of each of the F factors, so the
-tables are refused when
+they settle every check that holds and no distance of the sum is read;
+what they leave open goes straight to the exhaustive scan, which on a
+sum is cheap for a few checks (below).  On a guaranteed metric the
+tables are refused when they would read more factor entries than the
+family's pivot scan, which then bounds the family alone.  For n
+clusters holding N points in all, that scan reads n * N entries of the
+sum, each of them one entry of each of the F factors, so the tables
+are refused when
 
     sum_f sum_c |proj_f c| * |U_f| > F * n * N.
 
@@ -73,10 +74,10 @@ so the scan reads the run pairs best bound first, from one read of the
 last factor's table, and stops at a bound strictly worse than the best
 value read; a run pair whose bound ties it is still read.  A cluster's
 diameter reads only the run pairs (u, v) with u <= v on a metric, which
-is symmetric.  With one run pair, or more run pairs than the plain scan
-has blocks, the plain scan runs.  A point moved between two product
-clusters of a certify job leaves about 1,500 of their 1.06 million
-distances to read.  Wedges keep the plain scan.
+is symmetric.  When the plain scan is one block, or has fewer blocks
+than run pairs, or there is one run pair, the plain scan runs.  A point
+moved between two product clusters of a certify job leaves about 1,500
+of their 1.06 million distances to read.  Wedges keep the plain scan.
 
 ``validate_cover`` always recomputes, and records on the space the last
 cover it passed whose families are tuples of frozenset tuples, as
@@ -234,11 +235,9 @@ def _open_family(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
                  lam: int, control: int
                  ) -> tuple[Iterable[tuple[int, int]], Iterable[int]]:
     """The cluster pairs (c1, c2), c1 < c2, and the clusters of one
-    family that no bound settles, in (c1, c2) and c order.  Off l1 sums
-    only the pivot bounds apply.  On an l1 sum the hull tables come
-    first, and the pivot bounds read only the clusters named in a check
-    they leave open; when ``_hull_tables`` refuses the family, the pivot
-    bounds alone."""
+    family that no bound settles, in (c1, c2) and c order.  One bound
+    serves a family: on an l1 sum the hull tables' open checks, unless
+    ``_hull_tables`` refuses the family; otherwise the pivot bounds'."""
     if space.structure is None or space.structure[0] != "sum" or not arrays:
         return _open_checks(space, arrays, lam, control)
     factors = space.structure[1]
@@ -249,16 +248,7 @@ def _open_family(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
     tables = _hull_tables(factors, _projections(factors, arrays), budget)
     if tables is None:
         return _open_checks(space, arrays, lam, control)
-    pairs, clusters = _table_open(tables, len(arrays), lam, control)
-    named = sorted({c for pair in pairs for c in pair}.union(clusters))
-    if not named or not space.metric_guaranteed:
-        return pairs, clusters
-    sub_pairs, sub_clusters = _open_checks(
-        space, [arrays[c] for c in named], lam, control)
-    pivot_open = {(named[i], named[j]) for i, j in sub_pairs}
-    wide = {named[i] for i in sub_clusters}
-    return ([pair for pair in pairs if pair in pivot_open],
-            [c for c in clusters if c in wide])
+    return _table_open(tables, len(arrays), lam, control)
 
 
 def _hull_tables(factors: Sequence[FiniteMetricSpace],
@@ -449,10 +439,15 @@ def _run_pairs(space: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray,
 
     When rows is cols on a metric, d is symmetric, so the first pair to
     reach an extreme lies in a run pair with u <= v, and only those are
-    listed.  None on any other space, for one run pair, and for more
-    run pairs than the plain scan has blocks: each run pair read binds
-    a reader of the sum."""
+    listed.  None on any other space, when the plain scan reads
+    rows x cols in one block (before any digit is computed), for one run
+    pair, and for more run pairs than the plain scan has blocks: each
+    run pair read binds a reader of the sum."""
     if space.structure is None or space.structure[0] != "sum":
+        return None
+    # As many blocks as row_blocks reads over rows x cols.
+    blocks = -(-len(rows) // max(1, spaces._SCAN_ELEMS // len(cols)))
+    if blocks == 1:
         return None
     *rest, last = space.structure[1]
     stride = math.prod(g.size for g in rest)
@@ -462,8 +457,6 @@ def _run_pairs(space: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray,
     c = np.flatnonzero(_run_starts(col_digits))
     half = rows is cols and space.metric_guaranteed
     count = len(r) * (len(r) + 1) // 2 if half else len(r) * len(c)
-    # As many blocks as row_blocks reads over rows x cols.
-    blocks = -(-len(rows) // max(1, spaces._SCAN_ELEMS // len(cols)))
     if not 1 < count <= blocks:
         return None
     u, v = np.indices((len(r), len(c))).reshape(2, -1)
@@ -485,11 +478,12 @@ def validate_cover(space: FiniteMetricSpace, cover: ScaledCover) -> ValidationRe
     refuses) are usage errors and raise ValueError;
     everything else is reported as Violation entries (up to
     MAX_VIOLATIONS of them, coverage first, then separation, then
-    diameters).  Cluster pairs and diameters that a bound settles skip
-    the exhaustive scan: the product hull on an l1 sum, from per-factor
-    tables unless, on a guaranteed metric, they would read more factor
-    entries than the pivot scan, and the family's pivot scan when
-    ``space.metric_guaranteed`` (see the module docstring).  Every bound
+    diameters).  Cluster pairs and diameters that a family's one bound
+    settles skip the exhaustive scan.  On an l1 sum that bound is the
+    product hull, from per-factor tables, unless on a guaranteed metric
+    they would read more factor entries than the pivot scan; the
+    family's pivot scan, when ``space.metric_guaranteed``, serves every
+    other family (see the module docstring).  Every bound
     is sound, so it settles only checks that hold, and the scan alone
     produces violations, each at the first extreme pair in point order:
     the report does not depend on which bounds ran.

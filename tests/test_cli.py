@@ -168,6 +168,14 @@ def test_dim_budget_exhaustion_exits_3(capsys, tmp_path):
     assert "dim: >= 1 (unknown" in out
 
 
+def test_profile_budget_exhaustion_exits_3(capsys):
+    code, out, err = run(capsys, "profile", "circle(12,1)", "--c", "1",
+                         "--lambda-list", "1", "--budget", "2")
+    assert code == 3
+    assert err == ""
+    assert out == "c,lambda,control,dim,status\n1,1,1,1,unknown\n"
+
+
 def test_dim_max_n_stop_is_a_proven_lower_bound(capsys, tmp_path):
     # circle(9,1) has diameter 4 > 2, so n = 0 is refuted by the scan
     # alone: no node is spent and no budget runs out.
@@ -202,8 +210,12 @@ def test_dim_max_n_stop_is_a_proven_lower_bound(capsys, tmp_path):
      "--lambda must be nonnegative, got -1"),
     (["dim", "circle(9,1)", "--lambda", "1", "--control", "-2"],
      "--control must be nonnegative, got -2"),
+    (["dim", "circle(9,1)", "--lambda", "1", "--control", "2",
+      "--budget", "0"], "--budget must be positive"),
     (["profile", "circle(9,1)", "--c", "0", "--lambda-list", "1"],
      "--c must be positive, got 0"),
+    (["profile", "circle(9,1)", "--c", "2", "--lambda-list", "1,-2"],
+     "--lambda-list needs nonnegative integers"),
     (["profile", "circle(5,1)", "--c", "2", "--lambda-list", "1,,2"],
      "--lambda-list must be comma-separated integers, got '1,,2'"),
     (["schedule", "--p", "3", "--N", "0"], "--N must be positive, got 0"),

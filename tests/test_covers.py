@@ -774,11 +774,12 @@ def test_segments_lay_the_named_slices_end_to_end():
             [0] + [len(piece) for piece in pieces]).tolist()
 
 
-def test_pivots_read_only_the_clusters_the_tables_leave_open(monkeypatch):
+def test_the_tables_alone_bound_a_corrupted_sum_cover(monkeypatch):
     """With one point moved between two 729-point product clusters of
-    the first certify job, the tables leave open only checks on those
-    two clusters: before its first scan the sum binds one reader, for
-    the pivot scan of their points alone."""
+    the first certify job, the tables leave open exactly that pair and
+    the grown cluster, and nothing in the other families.  No pivot scan
+    follows them: the sum binds no reader before its first exhaustive
+    scan, and the report equals the plain scan's."""
     space = build_space(parse_spec(
         "sum(circle(3,1),circle(9,2),circle(27,10),circle(9,140))"))
     cover = dim_at_scale(space, 139, 278).certificate
@@ -786,19 +787,42 @@ def test_pivots_read_only_the_clusters_the_tables_leave_open(monkeypatch):
     moved = max(first[0])
     first[0], first[1] = first[0] - {moved}, first[1] | {moved}
     bad = ScaledCover.of(139, 278, [first] + list(cover.families[1:]))
+    assert bad.families[0][:2] == (first[0], first[1])
     expected = _reference_report(space, bad)
     binds = _count_binds(monkeypatch, space)
-    extremes = _count_extremes(monkeypatch)
-    before_scans = []
-    scan = covers._first_extreme
+    opened, table_open = [], covers._table_open
+    monkeypatch.setattr(covers, "_table_open", lambda *args: (
+        opened.append(table_open(*args)) or opened[-1]))
+    before_scans, scan = [], covers._first_extreme
     monkeypatch.setattr(covers, "_first_extreme", lambda *args, **kwargs: (
         before_scans.append(len(binds)) or scan(*args, **kwargs)))
     report = validate_cover(space, bad)
     assert report == expected
     assert [v.kind for v in report.violations] == ["family-separation",
                                                    "cluster-diameter"]
-    assert len(extremes) == 2 and before_scans[0] == 1
-    assert sorted(binds[0].tolist()) == sorted(first[0] | first[1])
+    assert opened == ([([(0, 1)], [1])]
+                      + [([], [])] * (len(cover.families) - 1))
+    assert len(before_scans) == 2 and before_scans[0] == 0
+
+
+def test_one_block_skips_the_run_pairs(monkeypatch):
+    """When rows x cols fits in one ``_SCAN_ELEMS`` block, the plain
+    scan reads it in one go, so ``_run_pairs`` gives None before it cuts
+    any runs; the same rows in smaller blocks are cut into run pairs."""
+    space = build_space(parse_spec("sum(interval(20,1),interval(20,1))"))
+    # Three last-factor digits each: nine run pairs.
+    rows = np.arange(0, 63, dtype=np.intp)
+    cols = np.arange(63, 126, dtype=np.intp)
+    assert len(rows) * len(cols) <= spaces._SCAN_ELEMS
+    starts, run_starts = [], covers._run_starts
+    monkeypatch.setattr(covers, "_run_starts", lambda values: (
+        starts.append(len(values)) or run_starts(values)))
+    for r, c in [(rows, cols), (rows, rows)]:
+        for sign in (1, -1):
+            assert covers._run_pairs(space, r, c, sign) is None
+    assert starts == []
+    monkeypatch.setattr(spaces, "_SCAN_ELEMS", len(cols))
+    assert covers._run_pairs(space, rows, cols, 1) and starts
 
 
 def test_a_bare_oracle_factor_takes_the_tables(monkeypatch):
@@ -1083,8 +1107,8 @@ def test_split_scan_equals_plain_scan_on_sums(elems, monkeypatch):
 
 def test_corrupted_sum_cover_reads_few_pairs(monkeypatch):
     """With one point moved between two 729-point product clusters of
-    the first certify job, the pivots and the hull leave the pair and
-    the grown cluster open.  Their scans read the sum's kernel only in
+    the first certify job, the hull tables leave the pair and the grown
+    cluster open.  Their scans read the sum's kernel only in
     the run pairs a last-factor bound leaves in reach: under 3,000
     distances, of the 1.06 million that the two plain scans read."""
     space = build_space(parse_spec(

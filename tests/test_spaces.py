@@ -274,6 +274,25 @@ def test_check_metric_catches_broken_oracle():
         check_metric(bad)
 
 
+@pytest.mark.parametrize("dist, axiom", [
+    (lambda i, j: abs(i - j) + 1, "identity"),
+    (lambda i, j: abs(i - j) + (i > j), "symmetry"),
+    (lambda i, j: 0, "positivity"),
+    (lambda i, j: (i - j) ** 2, "triangle"),
+], ids=["identity", "symmetry", "positivity", "triangle"])
+def test_check_metric_samples_above_the_exhaustive_limit(dist, axiom,
+                                                         monkeypatch):
+    """Past EXHAUSTIVE_CHECK_LIMIT points check_metric reads seeded
+    pairs and triples, not the table, and still finds each broken axiom
+    of a bare oracle; a metric passes."""
+    monkeypatch.setattr(spaces, "_check_table", None)  # never called
+    size = spaces.EXHAUSTIVE_CHECK_LIMIT + 1
+    with pytest.raises(MetricError) as err:
+        check_metric(FiniteMetricSpace(size, dist))
+    assert err.value.axiom == axiom
+    check_metric(FiniteMetricSpace(size, lambda i, j: abs(i - j)))
+
+
 def _floyd_warshall(n, seed):
     # The draws of random_metric_space, closed by the plain triple loop.
     rng = random.Random(seed)
