@@ -23,8 +23,8 @@ import sys
 import warnings
 from typing import Optional, Sequence
 
-from .construction import (SmallCircleWarning, _weights, profile, profile_csv,
-                           schedule_csv)
+from .construction import (SCHEDULE_MODES, SmallCircleWarning, _weights,
+                           profile, profile_csv, schedule_csv)
 from .covers import Certificate, read_certificate, validate_cover, write_certificate
 from .solver import _BRUTE_LIMIT, DEFAULT_NODE_BUDGET, dim_at_scale, oracle_check
 from .spaces import MetricError, check_metric
@@ -98,15 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="print a weight schedule")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--mode", default="group",
-                   choices=("group", "wedge", "interval-wedge"))
+    p.add_argument("--mode", default="group", choices=SCHEDULE_MODES)
     p.add_argument("--csv", default=None, help="also write the table here")
     add_strict(p)
     return parser
 
 
 def _node_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         if args.budget < 1:
             raise ValueError("--budget must be positive")
         return args.budget
@@ -384,10 +383,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             warnings.showwarning = functools.partial(_show_warning,
                                                      warnings.showwarning)
             return _COMMANDS[args.command](args)
-    except SmallCircleWarning as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SpecParseError, MetricError, ValueError, OSError) as exc:
+    except (SmallCircleWarning, SpecParseError, MetricError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -246,10 +246,8 @@ class ConditionsReport:
 
 def _prefix_diameter(schedule: WeightSchedule,
                      factors: Sequence[FiniteMetricSpace], n: int) -> int:
-    # Diameter of the assembly of levels 1..n-1 (0 when empty).
+    # Diameter of the assembly of levels 1..n-1, for n >= 2.
     prior = factors[:n - 1]
-    if not prior:
-        return 0
     if schedule.mode == "group":
         return sum(f.diameter() for f in prior)
     return wedge(prior).diameter()

@@ -16,12 +16,12 @@ another cluster,
 
     d(x, y) >= d(p, y) - d(p, x)      and      d(x, x') <= d(x, p) + d(p, x'),
 
-so C is more than lam from C' when min d(p, C') - max d(p, C) > lam,
-and C is within the control when the two largest entries of d(p, C) sum
-to at most it.  One ``row_blocks`` scan reads the pivots against their
+so with the pivot's reach r = max d(p, C), C is more than lam from C'
+when min d(p, C') - r > lam, and C is within the control when 2r is at
+most it.  One ``row_blocks`` scan reads the pivots against their
 clusters laid end to end; ``np.minimum.reduceat`` over the cluster
 offsets gives each pivot's least distance to every cluster, and
-``np.maximum.reduceat`` over its own cluster its two largest.
+``np.maximum.reduceat`` over its own cluster its reach.
 
 An l1 distance splits across the factors, so for clusters A and B of a
 sum, with proj_f(A) the coordinates of A's points in factor f,
@@ -197,38 +197,32 @@ def _open_checks(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
     """The cluster pairs (c1, c2), c1 < c2, and the clusters of one
     family that the pivot bounds leave open, in (c1, c2) and c order:
     every one of them when the metric is not guaranteed.  One scan reads
-    each cluster's pivot (its first point) against the whole family."""
+    each cluster's pivot (its first point) against the whole family; a
+    pair is open when the least distance from c1's pivot to c2, less the
+    pivot's reach (its largest distance into c1), is at most lam, and a
+    cluster when twice its pivot's reach is over the control."""
     n = len(arrays)
     if not space.metric_guaranteed or not n:
         return itertools.combinations(range(n), 2), range(n)
     sizes = [len(pts) for pts in arrays]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     bounds = offsets.tolist()
-    # Entry k of the clusters laid end to end lies in cluster owner[k];
-    # own[k] is its distance from that cluster's pivot.
+    # Entry k of the clusters laid end to end lies in cluster owner[k].
     owner = np.repeat(np.arange(n), sizes)
-    own = np.empty(bounds[-1], dtype=np.int64)
     reach = np.empty(n, dtype=np.int64)
     pairs = []
     for start, block in space.row_blocks([pts[0] for pts in arrays],
                                          np.concatenate(arrays)):
         stop = start + len(block)
         lo, hi = bounds[start], bounds[stop]
-        own[lo:hi] = block[owner[lo:hi] - start, np.arange(lo, hi)]
-        reach[start:stop] = np.maximum.reduceat(own[lo:hi],
-                                                offsets[start:stop] - lo)
+        own = block[owner[lo:hi] - start, np.arange(lo, hi)]
+        reach[start:stop] = np.maximum.reduceat(own, offsets[start:stop] - lo)
         gap = (np.minimum.reduceat(block, offsets[:-1], axis=1)
                - reach[start:stop, None])
         i, c2 = np.nonzero(gap <= lam)
         keep = c2 > start + i
         pairs += zip((start + i[keep]).tolist(), c2[keep].tolist())
-    # The second largest distance from each pivot into its cluster: the
-    # reach again on a tie, 0 for a single point.
-    top = own == reach[owner]
-    second = np.where(
-        np.add.reduceat(top, offsets[:-1], dtype=np.intp) > 1, reach,
-        np.maximum.reduceat(np.where(top, 0, own), offsets[:-1]))
-    return pairs, np.flatnonzero(reach + second > control).tolist()
+    return pairs, np.flatnonzero(2 * reach > control).tolist()
 
 
 def _open_family(space: FiniteMetricSpace, arrays: Sequence[np.ndarray],
@@ -446,7 +440,7 @@ def _run_pairs(space: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray,
     if space.structure is None or space.structure[0] != "sum":
         return None
     # As many blocks as row_blocks reads over rows x cols.
-    blocks = -(-len(rows) // max(1, spaces._SCAN_ELEMS // len(cols)))
+    blocks = -(-len(rows) // spaces._block_rows(len(cols)))
     if blocks == 1:
         return None
     *rest, last = space.structure[1]

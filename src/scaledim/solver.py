@@ -73,7 +73,8 @@ import numpy as np
 
 from .covers import ScaledCover, validate_cover
 from .spaces import (DEFAULT_PRODUCT_CAP, FiniteMetricSpace, ScalePair,
-                     l1_blocks, random_metric_space, wedge_points)
+                     _check_nonnegative, l1_blocks, random_metric_space,
+                     wedge_points)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -192,8 +193,7 @@ def lambda_components(space: FiniteMetricSpace, lam: int,
     each of distance at most lam, connects them inside the set.  With
     subset=None the whole space is partitioned.
     """
-    if not isinstance(lam, int) or isinstance(lam, bool) or lam < 0:
-        raise ValueError(f"lam must be a nonnegative integer, got {lam!r}")
+    _check_nonnegative("lam", lam)
     if subset is None:
         if space.size == 0:
             return ComponentPartition((), ())
@@ -616,8 +616,7 @@ def dim_le(space: FiniteMetricSpace, lam: int, control: int, n: int, *,
     fully deterministic.
     """
     ScalePair(lam, control)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _check_nonnegative("n", n)
     parts, order = _scan(space, lam, control, n)
     return _search(space, lam, control, n, parts, order, node_budget)
 
@@ -657,8 +656,7 @@ def dim_at_scale(space: FiniteMetricSpace, lam: int, control: int, *,
     ScalePair(lam, control)
     top = max(space.size - 1, 0)
     if max_n is not None:
-        if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
-            raise ValueError(f"max_n must be a nonnegative integer, got {max_n!r}")
+        _check_nonnegative("max_n", max_n)
         top = min(top, max_n)
     parts, order = _scan(space, lam, control, top)
     total_nodes = 0

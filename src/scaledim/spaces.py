@@ -57,6 +57,12 @@ def _block_rows(width: int) -> int:
     return max(1, _SCAN_ELEMS // max(1, width))
 
 
+def _check_nonnegative(name: str, value) -> None:
+    # The one check of an integer argument: an int that is not a bool.
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 class MetricError(ValueError):
     """A metric axiom failed.  Carries the axiom name and a witness tuple."""
 
@@ -75,10 +81,8 @@ class ScalePair:
     control: int
 
     def __post_init__(self):
-        for name in ("lam", "control"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+        _check_nonnegative("lam", self.lam)
+        _check_nonnegative("control", self.control)
 
 
 class FiniteMetricSpace:
@@ -570,7 +574,7 @@ def wedge(spaces: Sequence[FiniteMetricSpace], *,
     # through the basepoint between the two most eccentric arms.
     diam = 0
     if eccs:
-        diam = max(max(sp.diameter() for sp in spaces), 0)
+        diam = max(sp.diameter() for sp in spaces)
         if len(eccs) >= 2:
             top = sorted(eccs)[-2:]
             diam = max(diam, top[0] + top[1])
@@ -643,8 +647,6 @@ def l1_sum(spaces: Sequence[FiniteMetricSpace], *,
     for f, sp in enumerate(spaces):
         if sp.basepoint is None:
             raise ValueError(f"l1_sum factor {f + 1} ({sp.label}) has no basepoint")
-        if sp.size < 1:
-            raise ValueError(f"l1_sum factor {f + 1} is empty")
     sizes = tuple(sp.size for sp in spaces)
     total = math.prod(sizes)
     _check_cap("l1_sum", total)

@@ -208,8 +208,6 @@ class _Parser:
 
     @staticmethod
     def _arg_kind(arg: Arg) -> str:
-        if isinstance(arg, bool):
-            return "other"
         if isinstance(arg, int):
             return "int"
         if isinstance(arg, str):

@@ -28,6 +28,12 @@ def test_valid_cover_passes():
     assert report.describe() == "valid cover"
 
 
+def test_violations_describe_their_witness():
+    assert Violation("family-separation", (0, 1, 2, 5, 7), 1).describe() == (
+        "family 0: clusters 1 and 2 are 1 apart at points (5,7), "
+        "need strictly more than lam")
+
+
 def test_uncovered_point_reported():
     cover = ScaledCover.of(1, 2, [[[0, 1]], [[3]]])
     report = validate_cover(path4(), cover)
@@ -347,6 +353,8 @@ def test_certificate_file_roundtrip(tmp_path):
     ("scaled-cover 1\nlabel: x\nsize: 2\nlambda: 1\ncontrol: 2\n"
      "families: 1\nfamily\ncluster 0 1\n",
      "expected 'family 0', got 'family'"),
+    ("scaled-cover 1\nlabel: x\nsize: 2\nlambda: 1\ncontrol: 2\n"
+     "families: 1\nfamily 0\ncluster\n", "^certificate: empty cluster line$"),
 ])
 def test_certificate_parse_errors(text, message):
     with pytest.raises(ValueError, match=message):
@@ -658,9 +666,9 @@ def test_one_pivot_scan_per_family(monkeypatch):
 def test_pivot_bounds_equal_a_row_by_row_reference(elems, monkeypatch):
     """The pivot scan leaves open a pair (c1, c2), c1 < c2, when the
     least distance from c1's pivot to c2 less the pivot's reach into c1
-    is at most lam, and a cluster when the two largest distances from
-    its pivot into it sum to more than the control: as a loop over the
-    pivot rows finds, also in blocks that split the family's pivots."""
+    is at most lam, and a cluster when twice the pivot's reach is more
+    than the control: as a loop over the pivot rows finds, also in
+    blocks that split the family's pivots."""
     monkeypatch.setattr(spaces, "_SCAN_ELEMS", elems)
     rng = random.Random(elems)
     for _ in range(40):
@@ -676,10 +684,22 @@ def test_pivot_bounds_equal_a_row_by_row_reference(elems, monkeypatch):
             top = sorted(row[pts].tolist())[-2:]
             pairs += [(c1, c2) for c2 in range(c1 + 1, len(arrays))
                       if row[arrays[c2]].min() - top[-1] <= lam]
-            if sum(top) > control:
+            if 2 * top[-1] > control:
                 wide.append(c1)
         assert covers._open_checks(space, arrays, lam, control) == (pairs,
                                                                     wide)
+
+
+def test_twice_the_reach_settles_every_wedge_dip_cluster():
+    """The pivot scan alone reads this certificate's one family of
+    3,237 clusters, and twice each pivot's reach is within the control
+    in every one of them."""
+    space = build_space(parse_spec("wedgegroup(3,7)"))
+    cover = dim_at_scale(space, 138, 276).certificate
+    (fam,) = cover.families
+    arrays = covers._cluster_arrays(fam, space.size)
+    assert len(arrays) == 3237
+    assert covers._open_checks(space, arrays, 138, 276)[1] == []
 
 
 @pytest.mark.parametrize("spec, lam, control", [

@@ -780,6 +780,32 @@ def test_dim_le_input_validation():
         dim_at_scale_bruteforce(random_metric_space(11, 0), 1, 1)
 
 
+@pytest.mark.parametrize("call, name, value", [
+    (lambda sp: lambda_components(sp, -1), "lam", -1),
+    (lambda sp: lambda_components(sp, True), "lam", True),
+    (lambda sp: dim_le(sp, 1, 2, True), "n", True),
+    (lambda sp: dim_at_scale(sp, 1, 2, max_n=-1), "max_n", -1),
+    (lambda sp: dim_at_scale(sp, 1, 2, max_n=True), "max_n", True),
+    (lambda sp: spaces.ScalePair(1, -1), "control", -1),
+], ids=["components-negative", "components-bool", "dim_le-n-bool",
+        "max_n-negative", "max_n-bool", "scale-pair-control"])
+def test_integer_arguments_share_one_message(call, name, value):
+    """Every nonnegative-integer argument is refused with the same
+    message, naming the argument, and a bool is not an integer here."""
+    with pytest.raises(ValueError) as err:
+        call(interval(3, 1))
+    assert str(err.value) == \
+        f"{name} must be a nonnegative integer, got {value!r}"
+
+
+def test_the_empty_space_has_no_components_and_dimension_0():
+    empty = from_matrix([])
+    assert lambda_components(empty, 3) == solver.ComponentPartition((), ())
+    result = dim_at_scale(empty, 1, 1)
+    assert (result.status, result.value, result.lower_bound) == ("exact", 0, 0)
+    assert result.certificate.families == ((),)
+
+
 # -- lifting ------------------------------------------------------------------
 
 

@@ -33,6 +33,7 @@ def same_metric(a, b):
     "sum(circle(3,1),circle(9,2))",
     "sub(circle(9,1),[0,2,4])",
     "scale(interval(2,1),3)",
+    'sub(matrix("a b.txt"),[0,2])',
 ])
 def test_format_round_trips(text):
     spec = parse_spec(text)
